@@ -1,24 +1,15 @@
 """Exact perimeter-and-area series, symmetry classes and area limit laws for
 square-lattice staircase polygons."""
 
-from .radicals import (
-    RadicalConstant,
-    gamma_half_integer,
-    rad_approx,
-    rad_mul,
-)
+from .radicals import RadicalConstant, gamma_half_integer
 from .series import (
     DeltaJet,
     LaurentQPoly,
     XSeries,
-    compose_xq,
     exact_ring,
     jet_q_power,
     jet_ring,
     rational_ring,
-    xs_add,
-    xs_mul,
-    xs_recip,
 )
 from .polygons import (
     CLASSES,
@@ -50,7 +41,6 @@ __all__ = [
     "XSeries",
     "catalan",
     "closed_form_coefficient",
-    "compose_xq",
     "enumerate_counts",
     "enumerate_polygons",
     "evaluate_rhs",
@@ -59,12 +49,7 @@ __all__ = [
     "is_fixed",
     "jet_q_power",
     "jet_ring",
-    "rad_approx",
-    "rad_mul",
     "rational_ring",
     "solve_series",
     "symmetry_signature",
-    "xs_add",
-    "xs_mul",
-    "xs_recip",
 ]

@@ -187,7 +187,7 @@ def cmd_moments(args) -> int:
     ms = _parse_int_list(args.m)
     rows = []
     for k in ks:
-        report = moments.convergence_report(args.class_id, k, ms)
+        report = moments.convergence_report(args.class_id, k, ms, jet_order=max(ks))
         rows.extend(report.csv_rows(args.digits))
     _write_csv(args.out, MOMENT_HEADER, rows)
     return 0
@@ -225,12 +225,10 @@ def cmd_orbits(args) -> int:
     ring = exact_ring() if args.mode == "exact" else jet_ring(args.jet)
     series = orbits.orbit_series(args.subgroup, args.order, ring)
     if args.mode == "exact":
-        rows = orbits.orbit_rows(args.subgroup, series)
-        _write_csv(args.out, ("subgroup", "m", "n", "orbit_count"), rows)
+        header = ("subgroup", "m", "n", "orbit_count")
     else:
-        rows = [(args.subgroup, m, k, str(v))
-                for m, c in enumerate(series.coeffs) for k, v in enumerate(c.c)]
-        _write_csv(args.out, ("subgroup", "m", "k", "jet_coefficient"), rows)
+        header = ("subgroup", "m", "k", "jet_coefficient")
+    _write_csv(args.out, header, feq.series_rows(args.subgroup, series))
     return 0
 
 
@@ -239,7 +237,7 @@ def cmd_compare(args) -> int:
     ms = _parse_int_list(args.m)
     rows = []
     for k in ks:
-        report = moments.convergence_report(args.class_id, k, ms)
+        report = moments.convergence_report(args.class_id, k, ms, jet_order=max(ks))
         rows.extend(report.csv_rows(args.digits))
         _write_plot(f"{args.out}_{args.class_id}_k{k}.dat", report.plot_rows(args.digits))
     _write_csv(f"{args.out}.csv", MOMENT_HEADER, rows)

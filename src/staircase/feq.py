@@ -195,11 +195,15 @@ class _SubX2Q2(_Node):
 
 
 class _MonoMul(_Node):
-    """Multiply by the monomial x**x_deg * q**q_deg."""
+    """Multiply by the monomial x**x_deg * q**q_deg.  A negative x_deg
+    divides; the child's valuation must then keep every term at degree
+    >= 0."""
 
     __slots__ = ("a", "x_deg", "q_deg")
 
     def __init__(self, a: _Node, x_deg: int, q_deg: int):
+        if a.val + x_deg < 0:
+            raise ValueError("x-shift below degree zero leaves a residue")
         super().__init__(a.ring, a.val + x_deg, a.stride)
         self.a = a
         self.x_deg = x_deg
@@ -207,22 +211,6 @@ class _MonoMul(_Node):
 
     def _advance(self, n: int):
         return self.ring.q_shift(self.a.coeff(n - self.x_deg), self.q_deg)
-
-
-class _ShiftDown(_Node):
-    """Divide by x**2 * q.  The child must have valuation >= 2 so nothing is
-    shifted below degree zero."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, a: _Node):
-        if a.val < 2:
-            raise ValueError("x-shift below degree zero leaves a residue")
-        super().__init__(a.ring, a.val - 2, a.stride)
-        self.a = a
-
-    def _advance(self, n: int):
-        return self.ring.q_shift(self.a.coeff(n + 2), -1)
 
 
 def _merge_lattices(points):
@@ -266,7 +254,7 @@ def _build_full(u, deps, ring, order):
 def _build_r2(u, deps, ring, order):
     left = _Lin(ring, {0: ring.one, 1: _q(ring, 2)}, [(_SubXQ(u), 1)])
     doubled = _SubX2Q2(_Const(deps["full"], val=2, stride=1))
-    return _ShiftDown(_Mul(left, doubled))
+    return _MonoMul(_Mul(left, doubled), -2, -1)
 
 
 def _build_d1(u, deps, ring, order):
@@ -277,13 +265,13 @@ def _build_d1(u, deps, ring, order):
 def _build_d2(u, deps, ring, order):
     left = _Lin(ring, {0: ring.one}, [(_SubXQ(u), 1)])
     doubled = _SubX2Q2(_Const(deps["full"], val=2, stride=1))
-    return _ShiftDown(_Mul(left, doubled))
+    return _MonoMul(_Mul(left, doubled), -2, -1)
 
 
 def _build_d1d2(u, deps, ring, order):
     left = _Lin(ring, {0: ring.one}, [(_SubXQ(u), 1)])
     doubled = _SubX2Q2(_Const(deps["d1"], val=2, stride=2))
-    return _ShiftDown(_Mul(left, doubled))
+    return _MonoMul(_Mul(left, doubled), -2, -1)
 
 
 def _rect_poly(ring, order):
@@ -341,10 +329,13 @@ def _verify_solution(class_id: str, series: XSeries):
                     raise RuntimeError(
                         f"area {d} out of range for half-perimeter {m} in class {class_id}")
     else:
+        # slot k sums C(area, k) over the polygons, and area <= m*m/4
         for m, c in enumerate(series.coeffs):
-            if c.c[0] < 0:
-                raise RuntimeError(
-                    f"negative count in class {class_id} at x^{m}")
+            count = c.c[0]
+            for k, v in enumerate(c.c):
+                if not 0 <= v <= math.comb(m * m // 4, k) * count:
+                    raise RuntimeError(
+                        f"jet slot {k} out of range in class {class_id} at x^{m}")
 
 
 def solve_series(class_id: str, order: int, ring) -> XSeries:
@@ -411,16 +402,16 @@ def closed_form_coefficient(class_id: str, m: int, n: int | None = None) -> int:
     raise ValueError(f"no closed form for class {class_id!r}")
 
 
-def series_rows(class_id: str, series: XSeries):
-    """CSV rows for a solved series: (class, m, n, coefficient) in exact mode,
-    (class, m, k, jet coefficient) in jet mode."""
+def series_rows(label: str, series: XSeries):
+    """CSV rows for a class or orbit series: (label, m, n, coefficient) in
+    exact mode, (label, m, k, jet coefficient) in jet mode."""
     rows = []
     if series.ring.key == "exact":
         for m, c in enumerate(series.coeffs):
             for d in sorted(c.c):
-                rows.append((class_id, m, d, str(c.c[d])))
+                rows.append((label, m, d, str(c.c[d])))
     else:
         for m, c in enumerate(series.coeffs):
             for k, v in enumerate(c.c):
-                rows.append((class_id, m, k, str(v)))
+                rows.append((label, m, k, str(v)))
     return rows

@@ -160,15 +160,6 @@ def _rational_power(m: int, alpha: Fraction) -> Fraction:
         f"m**({alpha}) is irrational for m={m}; use integer alpha or perfect powers")
 
 
-def orbit_rows(subgroup_id: str, series: XSeries):
-    """CSV rows (subgroup, m, n, orbit_count) for an exact-mode orbit series."""
-    rows = []
-    for m, c in enumerate(series.coeffs):
-        for d in sorted(c.c):
-            rows.append((subgroup_id, m, d, str(c.c[d])))
-    return rows
-
-
 def ratio_rows(subgroup_id: str, alpha, m_values, digits: int = 15):
     """CSV rows (subgroup, alpha, m, ratio_num, ratio_den, ratio_decimal, digits)."""
     from .radicals import approx_scaled

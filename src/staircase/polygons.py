@@ -443,7 +443,3 @@ def enumerate_counts(max_half_perimeter: int) -> CountTable:
     descend(1)
     return CountTable(counts, max_half_perimeter)
 
-
-def count_table_rows(table: CountTable):
-    """CSV rows (class, m, n, count), sorted lexicographically."""
-    return table.rows()

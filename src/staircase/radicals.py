@@ -119,10 +119,6 @@ class RadicalConstant:
             parts.append("sqrtpi")
         return "*".join(parts)
 
-    def approx_fixed(self, bits: int, extra_root: int = 1) -> int:
-        """Signed integer close to value * sqrt(extra_root) * 2**bits."""
-        return fixed_scaled(self.r, self.a, self.b, bits, extra_root)
-
     def approx(self, digits: int) -> str:
         """Decimal approximation with ``digits`` significant digits."""
         return approx_scaled(self.r, self.a, self.b, digits)
@@ -135,14 +131,6 @@ RAD_ZERO = RadicalConstant(Fraction(0))
 RAD_ONE = RadicalConstant(Fraction(1))
 SQRT_PI = RadicalConstant(Fraction(1), 0, 1)
 SQRT_2 = RadicalConstant(Fraction(1), 1, 0)
-
-
-def rad_mul(x: RadicalConstant, y: RadicalConstant) -> RadicalConstant:
-    return x * y
-
-
-def rad_approx(x: RadicalConstant, digits: int) -> str:
-    return x.approx(digits)
 
 
 def gamma_half_integer(twice_arg: int) -> RadicalConstant:

@@ -9,10 +9,9 @@ Two coefficient rings back the same series type:
   j!, which is exactly the data needed for factorial moments of order <= K.
 
 ``XSeries`` is a truncated power series in x whose coefficients live in one
-of these rings.  The substitutions x -> x*q and (x, q) -> (x**2, q**2) that
-drive all of the functional equations act coefficient-wise: multiply the
-x**n coefficient by q**n, respectively move it to x**(2n) with doubled
-q-degree.
+of these rings.  Products, reciprocals and the substitutions x -> x*q and
+(x, q) -> (x**2, q**2) of whole series are the lazy nodes in ``feq``; each
+ring adapter gives them one convolution kernel, ``conv_into``.
 """
 
 from __future__ import annotations
@@ -37,19 +36,61 @@ def _binomial(n: int, j: int) -> int:
 # exact coefficients: Laurent polynomials in q
 # ---------------------------------------------------------------------------
 
+def _mul_terms_into(acc: dict, a, b):
+    """acc += a * b for {degree: coeff} maps; zero sums are dropped.  The one
+    product loop of the exact ring."""
+    get = acc.get
+    for da, va in a.items():
+        for db, vb in b.items():
+            d = da + db
+            w = get(d, 0) + va * vb
+            if w:
+                acc[d] = w
+            elif d in acc:
+                del acc[d]
+
+
+class _Terms(dict):
+    """The {degree: coeff} map of a LaurentQPoly: a dict that refuses writes,
+    because solved series are cached and shared."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("q-polynomial coefficients are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _Terms, (dict(self),)
+
+
 class LaurentQPoly:
     """Sparse Laurent polynomial in q with exact integer coefficients.
 
-    Zero coefficients are never stored.  Instances are treated as immutable.
+    Zero coefficients are never stored.  Instances are immutable: ``c`` is a
+    read-only dict and cannot be rebound.
     """
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
-        if coeffs is None:
-            self.c = {}
-        else:
-            self.c = {d: v for d, v in coeffs.items() if v}
+        terms = () if coeffs is None else ((d, v) for d, v in coeffs.items() if v)
+        object.__setattr__(self, "c", _Terms(terms))
+
+    @classmethod
+    def _of(cls, c: dict) -> "LaurentQPoly":
+        """Wrap a map that holds no zero coefficients."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "c", _Terms(c))
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("q-polynomials are immutable")
+
+    def __reduce__(self):
+        return LaurentQPoly, (dict(self.c),)
 
     @classmethod
     def term(cls, coeff: int, degree: int = 0) -> "LaurentQPoly":
@@ -80,16 +121,12 @@ class LaurentQPoly:
                 c[d] = w
             elif d in c:
                 del c[d]
-        out = LaurentQPoly.__new__(LaurentQPoly)
-        out.c = c
-        return out
+        return LaurentQPoly._of(c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentQPoly.__new__(LaurentQPoly)
-        out.c = {d: -v for d, v in self.c.items()}
-        return out
+        return LaurentQPoly._of({d: -v for d, v in self.c.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -103,43 +140,22 @@ class LaurentQPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentQPoly()
-            out = LaurentQPoly.__new__(LaurentQPoly)
-            out.c = {d: v * other for d, v in self.c.items()}
-            return out
+            return LaurentQPoly._of({d: v * other for d, v in self.c.items()})
         if not isinstance(other, LaurentQPoly):
             return NotImplemented
         c: dict[int, int] = {}
-        for da, va in self.c.items():
-            for db, vb in other.c.items():
-                d = da + db
-                w = c.get(d, 0) + va * vb
-                if w:
-                    c[d] = w
-                elif d in c:
-                    del c[d]
-        out = LaurentQPoly.__new__(LaurentQPoly)
-        out.c = c
-        return out
+        _mul_terms_into(c, self.c, other.c)
+        return LaurentQPoly._of(c)
 
     __rmul__ = __mul__
 
     def q_shift(self, n: int) -> "LaurentQPoly":
         """Multiply by q**n."""
-        out = LaurentQPoly.__new__(LaurentQPoly)
-        out.c = {d + n: v for d, v in self.c.items()}
-        return out
+        return LaurentQPoly._of({d + n: v for d, v in self.c.items()})
 
     def q_square(self) -> "LaurentQPoly":
         """Substitute q -> q**2."""
-        out = LaurentQPoly.__new__(LaurentQPoly)
-        out.c = {2 * d: v for d, v in self.c.items()}
-        return out
-
-    def min_degree(self):
-        return min(self.c) if self.c else None
-
-    def max_degree(self):
-        return max(self.c) if self.c else None
+        return LaurentQPoly._of({2 * d: v for d, v in self.c.items()})
 
     def at_q1(self) -> int:
         return sum(self.c.values())
@@ -170,6 +186,21 @@ class LaurentQPoly:
 # jet coefficients: truncated expansions in delta = q - 1
 # ---------------------------------------------------------------------------
 
+def _mul_slots_into(acc: list, a, b):
+    """acc[s + t] += a[s] * b[t] for s + t <= K = len(acc) - 1.  The one
+    product loop of the jet ring, apart from the unrolled small-K branches
+    of JetRing.conv_into."""
+    K = len(acc) - 1
+    for s in range(K + 1):
+        x = a[s]
+        if not x:
+            continue
+        for t in range(K + 1 - s):
+            y = b[t]
+            if y:
+                acc[s + t] += x * y
+
+
 class DeltaJet:
     """Coefficients c_0..c_K of an expansion sum c_j * delta**j + O(delta**(K+1)).
 
@@ -179,9 +210,15 @@ class DeltaJet:
     __slots__ = ("c",)
 
     def __init__(self, coeffs):
-        self.c = tuple(coeffs)
+        object.__setattr__(self, "c", tuple(coeffs))
         if not self.c:
             raise ValueError("a jet needs at least the constant slot")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("jets are immutable")
+
+    def __reduce__(self):
+        return DeltaJet, (self.c,)
 
     @property
     def order(self) -> int:
@@ -239,17 +276,8 @@ class DeltaJet:
         if not isinstance(other, DeltaJet):
             return NotImplemented
         self._check(other)
-        a, b = self.c, other.c
-        K = len(a) - 1
-        out = [0] * (K + 1)
-        for s in range(K + 1):
-            x = a[s]
-            if not x:
-                continue
-            for t in range(K + 1 - s):
-                y = b[t]
-                if y:
-                    out[s + t] += x * y
+        out = [0] * len(self.c)
+        _mul_slots_into(out, self.c, other.c)
         return DeltaJet(tuple(out))
 
     __rmul__ = __mul__
@@ -320,25 +348,12 @@ class ExactRing:
     def acc_new(self):
         return {}
 
-    def acc_mul(self, acc: dict, a: LaurentQPoly, b: LaurentQPoly):
-        for da, va in a.c.items():
-            for db, vb in b.c.items():
-                d = da + db
-                w = acc.get(d, 0) + va * vb
-                if w:
-                    acc[d] = w
-                elif d in acc:
-                    del acc[d]
-
     def acc_close(self, acc: dict) -> LaurentQPoly:
-        out = LaurentQPoly.__new__(LaurentQPoly)
-        out.c = acc
-        return out
+        return LaurentQPoly._of(acc)
 
     def conv_into(self, acc, A, B, n, j_lo, j_hi, j_stride, i_val=0, i_stride=1):
         """acc += sum of A[n-j] * B[j] over j in range(j_lo, j_hi+1, j_stride),
         skipping indices off the A lattice."""
-        get = acc.get
         for j in range(j_lo, j_hi + 1, j_stride):
             i = n - j
             if i_stride > 1 and (i - i_val) % i_stride:
@@ -347,16 +362,8 @@ class ExactRing:
             if not ac:
                 continue
             bc = B[j].c
-            if not bc:
-                continue
-            for da, va in ac.items():
-                for db, vb in bc.items():
-                    d = da + db
-                    w = get(d, 0) + va * vb
-                    if w:
-                        acc[d] = w
-                    elif d in acc:
-                        del acc[d]
+            if bc:
+                _mul_terms_into(acc, ac, bc)
 
 
 class JetRing:
@@ -408,16 +415,8 @@ class JetRing:
     def q_shift(self, c: DeltaJet, n: int) -> DeltaJet:
         if n == 0 or not any(c.c):
             return c
-        p = self._power(n)
-        K = self.jet_order
-        a = c.c
-        out = [0] * (K + 1)
-        for s in range(K + 1):
-            x = a[s]
-            if not x:
-                continue
-            for t in range(K + 1 - s):
-                out[s + t] += x * p[t]
+        out = [0] * (self.jet_order + 1)
+        _mul_slots_into(out, c.c, self._power(n))
         return DeltaJet(tuple(out))
 
     def q_square(self, c: DeltaJet) -> DeltaJet:
@@ -437,18 +436,6 @@ class JetRing:
 
     def acc_new(self):
         return [0] * (self.jet_order + 1)
-
-    def acc_mul(self, acc: list, a: DeltaJet, b: DeltaJet):
-        K = self.jet_order
-        ac, bc = a.c, b.c
-        for s in range(K + 1):
-            x = ac[s]
-            if not x:
-                continue
-            for t in range(K + 1 - s):
-                y = bc[t]
-                if y:
-                    acc[s + t] += x * y
 
     def acc_close(self, acc: list) -> DeltaJet:
         return DeltaJet(tuple(acc))
@@ -514,11 +501,11 @@ class JetRing:
             i = n - j
             if check and (i - i_val) % i_stride:
                 continue
-            a = A[i]
-            if any(a.c):
-                b = B[j]
-                if any(b.c):
-                    self.acc_mul(acc, a, b)
+            a = A[i].c
+            if any(a):
+                b = B[j].c
+                if any(b):
+                    _mul_slots_into(acc, a, b)
 
 
 _EXACT_RING = ExactRing()
@@ -603,66 +590,6 @@ class XSeries:
         n = self._match(other)
         return XSeries(self.ring, n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self):
-        return XSeries(self.ring, self.order, [-a for a in self.coeffs])
-
-    def __mul__(self, other):
-        n = self._match(other)
-        ring = self.ring
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(n + 1):
-            acc = ring.acc_new()
-            for i in range(k + 1):
-                if not ring.is_zero(a[i]) and not ring.is_zero(b[k - i]):
-                    ring.acc_mul(acc, a[i], b[k - i])
-            out.append(ring.acc_close(acc))
-        return XSeries(ring, n, out)
-
-    def recip(self) -> "XSeries":
-        """Inverse series; the constant term must be invertible in the ring."""
-        ring = self.ring
-        inv0 = ring.invert_unit(self.coeffs[0])
-        out = [inv0]
-        neg_inv0 = -inv0
-        for k in range(1, self.order + 1):
-            acc = ring.acc_new()
-            for i in range(1, k + 1):
-                if not ring.is_zero(self.coeffs[i]):
-                    ring.acc_mul(acc, self.coeffs[i], out[k - i])
-            out.append(neg_inv0 * ring.acc_close(acc))
-        return XSeries(ring, self.order, out)
-
-    def compose_xq(self, x_power: int, q_power: int) -> "XSeries":
-        """Substitute (x, q) -> (x*q, q) when (1, 1), or (x**2, q**2) when (2, 2)."""
-        ring = self.ring
-        if (x_power, q_power) == (1, 1):
-            return XSeries(ring, self.order,
-                           [ring.q_shift(c, n) for n, c in enumerate(self.coeffs)])
-        if (x_power, q_power) == (2, 2):
-            out = [ring.zero] * (self.order + 1)
-            for n in range(self.order // 2 + 1):
-                if 2 * n <= self.order:
-                    out[2 * n] = ring.q_square(self.coeffs[n])
-            return XSeries(ring, self.order, out)
-        raise ValueError(f"unsupported substitution (x_power={x_power}, q_power={q_power})")
-
-    def mul_xq(self, x_exp: int, q_exp: int = 0) -> "XSeries":
-        """Multiply by x**x_exp * q**q_exp; negative x_exp requires the low
-        coefficients being shifted out to vanish."""
-        ring = self.ring
-        out = [ring.zero] * (self.order + 1)
-        if x_exp >= 0:
-            for n in range(self.order + 1 - x_exp):
-                out[n + x_exp] = ring.q_shift(self.coeffs[n], q_exp)
-        else:
-            for n in range(-x_exp):
-                if not ring.is_zero(self.coeffs[n]):
-                    raise ValueError("x-shift below degree zero leaves a residue")
-            for n in range(-x_exp, self.order + 1):
-                out[n + x_exp] = ring.q_shift(self.coeffs[n], q_exp)
-        return XSeries(ring, self.order, out)
-
     def truncated(self, order: int) -> "XSeries":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
@@ -683,19 +610,3 @@ class XSeries:
 
     def __repr__(self):
         return f"XSeries(ring={self.ring.key}, order={self.order})"
-
-
-def xs_add(a: XSeries, b: XSeries) -> XSeries:
-    return a + b
-
-
-def xs_mul(a: XSeries, b: XSeries) -> XSeries:
-    return a * b
-
-
-def xs_recip(a: XSeries) -> XSeries:
-    return a.recip()
-
-
-def compose_xq(a: XSeries, x_power: int, q_power: int) -> XSeries:
-    return a.compose_xq(x_power, q_power)

@@ -93,6 +93,7 @@ def _check_convergence(cls, k, jet_order, tolerance):
     return devs, fit_dev
 
 
+@pytest.mark.slow
 def test_criterion_4_airy_convergence():
     """Full class: normalized moments approach the scaled Airy moments."""
     lines = []
@@ -103,6 +104,7 @@ def test_criterion_4_airy_convergence():
     _report(4, "full-class Airy convergence at m in {256,1024,4096}; " + "; ".join(lines))
 
 
+@pytest.mark.slow
 def test_criterion_5_meander_convergence():
     """r2, d2 and d1d2 classes: normalized means approach the scaled meander mean."""
     lines = []

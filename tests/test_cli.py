@@ -1,8 +1,11 @@
 import csv
 import io
 
+import pytest
 
+from staircase import feq
 from staircase.cli import main
+from staircase.series import DeltaJet
 
 
 def run(argv, capsys):
@@ -113,6 +116,14 @@ class TestMomentsCommand:
         assert len(rows) == 5
         assert {r[5] for r in rows[1:]} == {"1"}
 
+    @pytest.mark.parametrize("command", ["moments", "compare"])
+    def test_one_solve_serves_every_k(self, command, tmp_path, capsys):
+        feq.clear_cache()
+        code, _, _ = run([command, "--class", "full", "--k", "1,2", "--m", "4,16",
+                          "--out", str(tmp_path / "report")], capsys)
+        assert code == 0
+        assert [key for key in feq._SOLVE_CACHE if key[0] == "full"] == [("full", ("jet", 2))]
+
 
 class TestOrbitsCommand:
     def test_counts(self, capsys):
@@ -150,6 +161,22 @@ class TestCompareCommand:
             assert len(dat) == 3
             assert dat[0].split()[0] == "4"
             float(dat[0].split()[1])
+
+
+class TestFailedChecks:
+    def test_jet_slot_over_bound_exits_2(self, monkeypatch, capsys):
+        # one polygon of half-perimeter 2 has area 1, so slot 1 (the area
+        # sum) is at most 1; this equation claims 2
+        def build(u, deps, ring, order):
+            return feq._Lin(ring, {2: DeltaJet((1, 2))}, [])
+
+        monkeypatch.setitem(feq.CLASS_EQUATIONS, "square",
+                            feq.ClassEquation("square", (), 2, 2, build))
+        feq.clear_cache()
+        code, _, err = run(["series", "--class", "square", "--order", "4",
+                            "--mode", "jet", "--jet", "1"], capsys)
+        assert code == 2
+        assert "jet slot 1 out of range in class square at x^2" in err
 
 
 class TestUsageErrors:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from staircase.feq import (
@@ -10,9 +12,9 @@ from staircase.feq import (
     series_rows,
     solve_series,
 )
-from staircase.feq import _Unknown
+from staircase.feq import _Unknown, _verify_solution
 from staircase.polygons import enumerate_counts
-from staircase.series import XSeries, exact_ring, jet_ring
+from staircase.series import DeltaJet, XSeries, exact_ring, jet_ring
 
 
 class TestKnownSeries:
@@ -149,6 +151,41 @@ class TestSolverContracts:
                 for n, v in c.c.items():
                     assert v > 0
                     assert 1 <= n <= m * m / 4
+
+    def test_jet_slots_bounded_by_area_binomials(self):
+        # at x^4 every area is <= 4: slot k of two polygons is <= 2 * C(4, k)
+        ring = jet_ring(2)
+        _verify_solution("full", XSeries(ring, 4, [ring.zero] * 4 + [DeltaJet((2, 8, 12))]))
+        for slots in ((2, 9, 12), (2, 8, 13), (2, -1, 0), (-1, 0, 0)):
+            bad = XSeries(ring, 4, [ring.zero] * 4 + [DeltaJet(slots)])
+            with pytest.raises(RuntimeError, match="out of range"):
+                _verify_solution("full", bad)
+
+    def test_cached_coefficients_are_read_only(self):
+        clear_cache()
+        coeff = solve_series("square", 10, exact_ring()).coeffs[6]
+        terms = coeff.c
+        with pytest.raises(TypeError):
+            terms[9] = 5
+        with pytest.raises(TypeError):
+            del terms[9]
+        writes = [
+            lambda: terms.update({9: 5}),
+            lambda: terms.setdefault(1, 1),
+            lambda: terms.pop(9),
+            terms.popitem,
+            terms.clear,
+            lambda: terms.__ior__({9: 5}),
+        ]
+        for write in writes:
+            with pytest.raises(TypeError):
+                write()
+        with pytest.raises(AttributeError):
+            coeff.c = {9: 5}
+        assert isinstance(terms, dict)
+        assert pickle.loads(pickle.dumps(coeff)) == coeff
+        assert solve_series("square", 10, exact_ring()).coeffs[6].c == {9: 1}
+        assert solve_series("square", 8, exact_ring()).coeffs[6].c == {9: 1}
 
 
 class TestCrossRing:

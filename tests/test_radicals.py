@@ -3,13 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from staircase.radicals import (
-    RadicalConstant,
-    approx_scaled,
-    gamma_half_integer,
-    rad_approx,
-    rad_mul,
-)
+from staircase.radicals import RadicalConstant, approx_scaled, gamma_half_integer
 
 
 def rad(r, a=0, b=0):
@@ -37,10 +31,10 @@ class TestCanonicalForm:
 
 class TestArithmetic:
     def test_sqrt2_squared(self):
-        assert rad_mul(rad(1, 1, 0), rad(1, 1, 0)) == rad(2)
+        assert rad(1, 1, 0) * rad(1, 1, 0) == rad(2)
 
     def test_sqrtpi_squared_is_pi(self):
-        assert rad_mul(rad(1, 0, 1), rad(1, 0, 1)) == rad(1, 0, 2)
+        assert rad(1, 0, 1) * rad(1, 0, 1) == rad(1, 0, 2)
 
     def test_mul_associative_commutative_random(self):
         rng = random.Random(20240817)
@@ -51,8 +45,8 @@ class TestArithmetic:
         ]
         for i in range(0, 99, 3):
             x, y, z = sample[i], sample[i + 1], sample[(i + 2) % 100]
-            assert rad_mul(x, y) == rad_mul(y, x)
-            assert rad_mul(rad_mul(x, y), z) == rad_mul(x, rad_mul(y, z))
+            assert x * y == y * x
+            assert (x * y) * z == x * (y * z)
 
     def test_add_requires_matching_radical_parts(self):
         assert rad(1, 1, 0) + rad(2, 1, 0) == rad(3, 1, 0)
@@ -84,23 +78,23 @@ class TestGammaHalfInteger:
 
 class TestApprox:
     def test_sqrtpi_ten_digits(self):
-        assert rad_approx(rad(1, 0, 1), 10) == "1.772453851"
+        assert rad(1, 0, 1).approx(10) == "1.772453851"
 
     def test_sqrt2(self):
-        assert rad_approx(rad(1, 1, 0), 10) == "1.414213562"
+        assert rad(1, 1, 0).approx(10) == "1.414213562"
 
     def test_pi_power(self):
-        assert rad_approx(rad(1, 0, 2), 11) == "3.1415926536"
+        assert rad(1, 0, 2).approx(11) == "3.1415926536"
 
     def test_exact_rationals_round_half_away(self):
-        assert rad_approx(rad(F(1, 8)), 2) == "0.13"
-        assert rad_approx(rad(F(-1, 8)), 2) == "-0.13"
-        assert rad_approx(rad(F(2, 3)), 6) == "0.666667"
+        assert rad(F(1, 8)).approx(2) == "0.13"
+        assert rad(F(-1, 8)).approx(2) == "-0.13"
+        assert rad(F(2, 3)).approx(6) == "0.666667"
 
     def test_integers_and_zero(self):
-        assert rad_approx(rad(132), 2) == "130"
-        assert rad_approx(rad(132), 5) == "132.00"
-        assert rad_approx(rad(0), 7) == "0"
+        assert rad(132).approx(2) == "130"
+        assert rad(132).approx(5) == "132.00"
+        assert rad(0).approx(7) == "0"
 
     def test_extra_root(self):
         # sqrt(2) * sqrt(8) = 4 exactly
@@ -108,4 +102,4 @@ class TestApprox:
 
     def test_digits_validated(self):
         with pytest.raises(ValueError):
-            rad_approx(rad(1), 0)
+            rad(1).approx(0)

@@ -3,22 +3,42 @@ from fractions import Fraction as F
 
 import pytest
 
+from staircase.feq import _Const, _MonoMul, _Mul, _Recip, _SubX2Q2, _SubXQ
 from staircase.series import (
     DeltaJet,
     LaurentQPoly,
     XSeries,
-    compose_xq,
     exact_ring,
     jet_q_power,
     jet_ring,
     rational_ring,
-    xs_mul,
-    xs_recip,
 )
 
 
 def xp(ring, order, terms):
     return XSeries.from_terms(ring, order, terms)
+
+
+# Whole-series arithmetic runs through the solver's lazy nodes.
+
+def run(node, order):
+    return XSeries(node.ring, order, [node.coeff(n) for n in range(order + 1)])
+
+
+def mul(a, b):
+    return run(_Mul(_Const(a), _Const(b)), min(a.order, b.order))
+
+
+def recip(a):
+    return run(_Recip(_Const(a)), a.order)
+
+
+def sub_xq(a):
+    return run(_SubXQ(_Const(a)), a.order)
+
+
+def sub_x2q2(a):
+    return run(_SubX2Q2(_Const(a)), a.order)
 
 
 class TestLaurentQPoly:
@@ -76,17 +96,17 @@ class TestXSeriesOps:
     def test_difference_of_squares(self, ring):
         a = xp(ring, 2, {0: 1, 1: 1})
         b = xp(ring, 2, {0: 1, 1: -1})
-        assert xs_mul(a, b) == xp(ring, 2, {0: 1, 2: -1})
+        assert mul(a, b) == xp(ring, 2, {0: 1, 2: -1})
 
     @pytest.mark.parametrize("ring", [exact_ring(), jet_ring(1)])
     def test_geometric_recip(self, ring):
         a = xp(ring, 3, {0: 1, 1: -2})
-        assert xs_recip(a) == xp(ring, 3, {0: 1, 1: 2, 2: 4, 3: 8})
+        assert recip(a) == xp(ring, 3, {0: 1, 1: 2, 2: 4, 3: 8})
 
     def test_recip_of_one_minus_xq(self):
         ring = exact_ring()
         a = XSeries(ring, 2, [ring.one, LaurentQPoly({1: -1}), ring.zero])
-        r = xs_recip(a)
+        r = recip(a)
         assert r.coeffs[0] == LaurentQPoly({0: 1})
         assert r.coeffs[1] == LaurentQPoly({1: 1})
         assert r.coeffs[2] == LaurentQPoly({2: 1})
@@ -94,22 +114,27 @@ class TestXSeriesOps:
     def test_recip_checks_constant_term(self):
         ring = exact_ring()
         with pytest.raises(ValueError, match="not invertible"):
-            xs_recip(xp(ring, 2, {1: 1}))
+            recip(xp(ring, 2, {1: 1}))
+        with pytest.raises(ValueError, match="not invertible"):
+            _Recip(_Const(xp(ring, 2, {1: 1}), val=1))
         # constant terms with several q-monomials are not units either
         bad = XSeries(ring, 2, [LaurentQPoly({0: 1, 1: 1}), ring.zero, ring.zero])
         with pytest.raises(ValueError, match="not invertible"):
-            xs_recip(bad)
+            recip(bad)
 
     def test_recip_times_self_is_one(self):
         ring = jet_ring(2)
-        a = xp(ring, 5, {0: 1, 1: 3, 2: -2, 4: 7})
-        assert a * a.recip() == xp(ring, 5, {0: 1})
+        a = _Const(xp(ring, 5, {0: 1, 1: 3, 2: -2, 4: 7}))
+        assert run(_Mul(a, _Recip(a)), 5) == xp(ring, 5, {0: 1})
 
     def test_truncation_is_min_of_orders(self):
         ring = rational_ring()
         a = xp(ring, 5, {0: 1, 5: 3})
         b = xp(ring, 3, {1: 1})
-        assert (a * b).order == 3
+        product = _Mul(_Const(a), _Const(b))
+        assert run(product, 3) == xp(ring, 3, {1: 1})
+        with pytest.raises(RuntimeError, match="solved to order 3"):
+            product.coeff(4)
 
     def test_coeff_beyond_order_rejected(self):
         ring = rational_ring()
@@ -129,14 +154,14 @@ class TestComposeXQ:
         # x^2 q under (x, q) -> (xq, q) becomes x^2 q^3
         ring = exact_ring()
         s = XSeries(ring, 3, [ring.zero, ring.zero, LaurentQPoly({1: 1}), ring.zero])
-        out = compose_xq(s, 1, 1)
+        out = sub_xq(s)
         assert out.coeffs[2] == LaurentQPoly({3: 1})
 
     def test_square_substitution(self):
         # x^2 + x^3 q under (x, q) -> (x^2, q^2) becomes x^4 + x^6 q^2
         ring = exact_ring()
         s = xp(ring, 6, {2: 1, 3: LaurentQPoly({1: 1})})
-        out = compose_xq(s, 2, 2)
+        out = sub_x2q2(s)
         assert out.coeffs[4] == LaurentQPoly({0: 1})
         assert out.coeffs[6] == LaurentQPoly({2: 1})
         assert all(not out.coeffs[i].c for i in (0, 1, 2, 3, 5))
@@ -145,18 +170,13 @@ class TestComposeXQ:
         # coefficient (1 + d) at x^3 picks up (1+d)^3, truncated: 1 + 4d
         ring = jet_ring(1)
         s = XSeries(ring, 3, [ring.zero] * 3 + [DeltaJet((1, 1))])
-        out = compose_xq(s, 1, 1)
+        out = sub_xq(s)
         assert out.coeffs[3] == DeltaJet((1, 4))
-
-    def test_unsupported_combination(self):
-        ring = rational_ring()
-        with pytest.raises(ValueError, match="unsupported"):
-            compose_xq(xp(ring, 2, {0: 1}), 1, 2)
 
     def test_double_xq_shift_doubles_q_degree(self):
         ring = exact_ring()
         s = xp(ring, 6, {2: 1, 3: 2, 5: 1})
-        twice = compose_xq(compose_xq(s, 1, 1), 1, 1)
+        twice = run(_SubXQ(_SubXQ(_Const(s))), 6)
         for n, c in enumerate(s.coeffs):
             assert twice.coeffs[n] == c.q_shift(2 * n)
 
@@ -188,6 +208,67 @@ class TestRingAxioms:
             assert a * (b + c) == a * b + a * c
 
 
+def _sparse_jet(rng, K):
+    # zero slots exercise the skips in the kernels, big ones the long ints
+    return DeltaJet(tuple(rng.choice((0, rng.randint(-9, 9), rng.getrandbits(90)))
+                          for _ in range(K + 1)))
+
+
+# (j_stride, i_val, i_stride) of A[n - j] * B[j]: both factors on the full
+# lattice; A on odd degrees only; both on stride-2 lattices
+LATTICES = [(1, 0, 1), (1, 1, 2), (2, 0, 2)]
+
+
+def _conv_cases(rng, make, count=40, size=12):
+    for _ in range(count):
+        A = [make() for _ in range(size)]
+        B = [make() for _ in range(size)]
+        n = rng.randrange(size)
+        j_lo = rng.randint(0, n)
+        yield A, B, n, j_lo, rng.randint(j_lo, n)
+
+
+class TestKernels:
+    """conv_into of each ring against a sum of products of its coefficients."""
+
+    def test_jet_product_is_truncated_convolution(self):
+        rng = random.Random(3)
+        for K in range(5):
+            for _ in range(50):
+                a, b = _sparse_jet(rng, K), _sparse_jet(rng, K)
+                assert (a * b).c == tuple(sum(a.c[s] * b.c[t - s] for s in range(t + 1))
+                                          for t in range(K + 1))
+
+    @pytest.mark.parametrize("K", range(5))
+    @pytest.mark.parametrize("j_stride, i_val, i_stride", LATTICES)
+    def test_jet_conv_into(self, K, j_stride, i_val, i_stride):
+        rng = random.Random(10 * K + i_stride)
+        ring = jet_ring(K)
+        for A, B, n, j_lo, j_hi in _conv_cases(rng, lambda: _sparse_jet(rng, K)):
+            start = _sparse_jet(rng, K)
+            acc = list(start.c)
+            ring.conv_into(acc, A, B, n, j_lo, j_hi, j_stride, i_val, i_stride)
+            expected = start
+            for j in range(j_lo, j_hi + 1, j_stride):
+                if (n - j - i_val) % i_stride == 0:
+                    expected = expected + A[n - j] * B[j]
+            assert ring.acc_close(acc) == expected
+
+    @pytest.mark.parametrize("j_stride, i_val, i_stride", LATTICES)
+    def test_exact_conv_into(self, j_stride, i_val, i_stride):
+        rng = random.Random(i_stride)
+        ring = exact_ring()
+        for A, B, n, j_lo, j_hi in _conv_cases(rng, lambda: _random_laurent(rng)):
+            start = _random_laurent(rng)
+            acc = dict(start.c)
+            ring.conv_into(acc, A, B, n, j_lo, j_hi, j_stride, i_val, i_stride)
+            expected = start
+            for j in range(j_lo, j_hi + 1, j_stride):
+                if (n - j - i_val) % i_stride == 0:
+                    expected = expected + A[n - j] * B[j]
+            assert ring.acc_close(acc) == expected
+
+
 class TestCrossRing:
     def test_collapse_commutes_with_arithmetic(self):
         # computing in q-polynomials then expanding around q = 1 equals
@@ -201,8 +282,8 @@ class TestCrossRing:
                 terms_b = {d: _random_laurent(rng) for d in range(5)}
                 a = XSeries(exact, 4, [terms_a[d] for d in range(5)])
                 b = XSeries(exact, 4, [terms_b[d] for d in range(5)])
-                lhs = ((a * b) + a).collapse(K)
-                rhs = (a.collapse(K) * b.collapse(K)) + a.collapse(K)
+                lhs = (mul(a, b) + a).collapse(K)
+                rhs = mul(a.collapse(K), b.collapse(K)) + a.collapse(K)
                 assert lhs == rhs
 
     def test_collapse_commutes_with_substitutions(self):
@@ -210,21 +291,21 @@ class TestCrossRing:
         exact = exact_ring()
         for _ in range(20):
             a = XSeries(exact, 6, [_random_laurent(rng) for _ in range(7)])
-            for combo in ((1, 1), (2, 2)):
-                assert compose_xq(a, *combo).collapse(3) == compose_xq(a.collapse(3), *combo)
+            for substitute in (sub_xq, sub_x2q2):
+                assert substitute(a).collapse(3) == substitute(a.collapse(3))
 
 
 class TestMulXQ:
     def test_monomial_shift(self):
         ring = exact_ring()
         s = xp(ring, 4, {1: 1})
-        out = s.mul_xq(2, 1)
+        out = run(_MonoMul(_Const(s), 2, 1), 4)
         assert out.coeffs[3] == LaurentQPoly({1: 1})
 
     def test_negative_shift_requires_divisibility(self):
         ring = exact_ring()
         s = xp(ring, 4, {2: 1, 3: 1})
-        down = s.mul_xq(-2, -1)
+        down = run(_MonoMul(_Const(s, val=2), -2, -1), 2)
         assert down.coeffs[0] == LaurentQPoly({-1: 1})
         with pytest.raises(ValueError, match="residue"):
-            xp(ring, 4, {1: 1}).mul_xq(-2, 0)
+            _MonoMul(_Const(xp(ring, 4, {1: 1}), val=1), -2, 0)
