@@ -28,6 +28,7 @@ import tempfile
 from fractions import Fraction
 
 from . import feq, laws, moments, orbits, polygons
+from .radicals import RadicalConstant
 from .series import exact_ring, jet_ring
 
 
@@ -281,9 +282,18 @@ def _selftest_checks(max_m: int):
                 return f"full-class singular coefficient mismatch at k={k}"
             expected = laws.meander_coeff(k)
             got = laws.singular_coeff_r2(k)
-            from .radicals import RadicalConstant
             if got != RadicalConstant(expected, -(3 * k + 1), 0):
                 return f"r2 singular coefficient mismatch at k={k}"
+        # the same numbers, read off the solved series at their singularities
+        full, r2 = feq.closed_form("full", 4), feq.closed_form("r2", 4)
+        for k in range(1, 5):
+            got = full.singular_coefficient(k, F(1, 4), F(1 - 3 * k, 2))
+            if got != RadicalConstant(laws.singular_coeff_full(k)):
+                return f"full-class series singular coefficient differs from the law at k={k}"
+        for k in range(5):
+            got = r2.singular_coefficient(k, F(1, 2), F(-1 - 3 * k, 2))
+            if got != laws.singular_coeff_r2(k):
+                return f"r2 series singular coefficient differs from the law at k={k}"
         return None
 
     def cross_ring():

@@ -6,11 +6,19 @@ substitutions of itself and of previously solved classes.  Every right-hand
 side gains at least two x-orders over its input, so the equations pin down a
 unique formal power series with zero constant term.
 
-The solver evaluates that fixed point one x-coefficient at a time: the
-right-hand side is built as a small graph of lazy, memoized series nodes
-referencing the unknown, and coefficient n of the unknown is filled from
-coefficients < n of itself.  This computes exactly the limit of the plain
-iteration F <- RHS(F) while touching every coefficient only once.
+Each equation is written once, as a small graph of series nodes referencing
+the unknown, and two interpreters read it:
+
+* the lazy interpreter here evaluates the fixed point one x-coefficient at a
+  time: the nodes are lazy, memoized series, and coefficient n of the
+  unknown is filled from coefficients < n of itself.  This computes exactly
+  the limit of the plain iteration F <- RHS(F) while touching every
+  coefficient only once.  It solves exact-ring series, and is the oracle for
+  the jet-ring path.
+* the slot interpreter (``staircase.slots``) solves jet rings in closed form:
+  each slot of the expansion around q = 1 as an element of Q(x)[sqrt r],
+  whose integer coefficients are read off to any order in linear time.
+
 ``evaluate_rhs`` exposes one whole-series application of a right-hand side,
 which is what tests use to check productivity of the plain iteration.
 """
@@ -77,8 +85,10 @@ class _Unknown(_Node):
 
 
 class _Const(_Node):
-    """A fully known series.  With allow_overrun, coefficients beyond the
-    stored order read as zero (used by the whole-series iteration oracle)."""
+    """A fully known series: a solved XSeries for the lazy interpreter, a
+    ClosedForm for the slot interpreter.  With allow_overrun, coefficients
+    beyond the stored order read as zero (used by the whole-series
+    iteration oracle)."""
 
     __slots__ = ("series", "allow_overrun")
 
@@ -246,47 +256,42 @@ def _q(ring, value=1):
     return ring.q_shift(ring.coerce(value), 1)
 
 
-def _build_full(u, deps, ring, order):
+def _build_full(u, deps, ring):
     denom = _Lin(ring, {0: ring.one, 1: _q(ring, -2)}, [(_SubXQ(u), -1)])
     return _MonoMul(_Recip(denom), 2, 1)
 
 
-def _build_r2(u, deps, ring, order):
+def _build_r2(u, deps, ring):
     left = _Lin(ring, {0: ring.one, 1: _q(ring, 2)}, [(_SubXQ(u), 1)])
     doubled = _SubX2Q2(_Const(deps["full"], val=2, stride=1))
     return _MonoMul(_Mul(left, doubled), -2, -1)
 
 
-def _build_d1(u, deps, ring, order):
+def _build_d1(u, deps, ring):
     denom = _Lin(ring, {0: ring.one}, [(_SubXQ(u), -1)])
     return _MonoMul(_Recip(denom), 2, 1)
 
 
-def _build_d2(u, deps, ring, order):
+def _build_d2(u, deps, ring):
     left = _Lin(ring, {0: ring.one}, [(_SubXQ(u), 1)])
     doubled = _SubX2Q2(_Const(deps["full"], val=2, stride=1))
     return _MonoMul(_Mul(left, doubled), -2, -1)
 
 
-def _build_d1d2(u, deps, ring, order):
+def _build_d1d2(u, deps, ring):
     left = _Lin(ring, {0: ring.one}, [(_SubXQ(u), 1)])
     doubled = _SubX2Q2(_Const(deps["d1"], val=2, stride=2))
     return _MonoMul(_Mul(left, doubled), -2, -1)
 
 
-def _rect_poly(ring, order):
-    # x**2*q*(1 + x*q)/(1 - x*q) expanded: x**2*q + 2*sum_{j>=1} x**(2+j)*q**(1+j)
-    poly = {2: _q(ring)}
-    for j in range(1, order - 1):
-        poly[2 + j] = ring.q_shift(ring.coerce(2), 1 + j)
-    return poly
+def _build_rect(u, deps, ring):
+    # x**2*q * ((1 + x*q)/(1 - x*q) + u(x*q, q))
+    source = _Mul(_Lin(ring, {0: ring.one, 1: _q(ring)}, []),
+                  _Recip(_Lin(ring, {0: ring.one, 1: _q(ring, -1)}, [])))
+    return _MonoMul(_Lin(ring, {}, [(source, 1), (_SubXQ(u), 1)]), 2, 1)
 
 
-def _build_rect(u, deps, ring, order):
-    return _Lin(ring, _rect_poly(ring, order), [(_MonoMul(_SubXQ(u), 2, 1), 1)])
-
-
-def _build_square(u, deps, ring, order):
+def _build_square(u, deps, ring):
     return _Lin(ring, {2: _q(ring)}, [(_MonoMul(_SubXQ(u), 2, 1), 1)])
 
 
@@ -306,10 +311,12 @@ CLASS_EQUATIONS = {
 # ---------------------------------------------------------------------------
 
 _SOLVE_CACHE: dict = {}
+_CLOSED_FORMS: dict = {}
 
 
 def clear_cache():
     _SOLVE_CACHE.clear()
+    _CLOSED_FORMS.clear()
 
 
 def _prerequisite_order(order: int) -> int:
@@ -341,8 +348,10 @@ def _verify_solution(class_id: str, series: XSeries):
 def solve_series(class_id: str, order: int, ring) -> XSeries:
     """The unique power-series solution of the class's equation, to x**order.
 
-    Results are cached per (class, ring); asking for a lower order returns a
-    truncated copy of the best solution already known.
+    Exact rings are solved by the lazy interpreter, jet rings by reading the
+    class's closed-form slots.  Results are cached per (class, ring); asking
+    for a lower order returns a truncated copy of the best solution already
+    known.
     """
     if class_id not in CLASS_EQUATIONS:
         raise ValueError(f"unknown symmetry class: {class_id!r}")
@@ -353,17 +362,46 @@ def solve_series(class_id: str, order: int, ring) -> XSeries:
     if cached is not None and cached.order >= order:
         return cached.truncated(order) if cached.order > order else cached
 
-    equation = CLASS_EQUATIONS[class_id]
-    deps = {dep: solve_series(dep, _prerequisite_order(order), ring)
-            for dep in equation.deps}
-    unknown = _Unknown(ring, val=2, stride=equation.stride)
-    rhs = equation.build(unknown, deps, ring, order)
-    for n in range(order + 1):
-        unknown.fill(n, rhs.coeff(n))
-    series = XSeries(ring, order, unknown.memo)
+    if ring.key == "exact":
+        series = _solve_lazy(class_id, order, ring, solve_series)
+    else:
+        series = closed_form(class_id, ring.jet_order).series(order)
     _verify_solution(class_id, series)
     _SOLVE_CACHE[key] = series
     return series
+
+
+def _solve_lazy(class_id: str, order: int, ring, solve_dep) -> XSeries:
+    """The lazy interpreter: fill the unknown one x-coefficient at a time.
+    Prerequisite classes come from solve_dep(class_id, order, ring)."""
+    equation = CLASS_EQUATIONS[class_id]
+    deps = {dep: solve_dep(dep, _prerequisite_order(order), ring)
+            for dep in equation.deps}
+    unknown = _Unknown(ring, val=2, stride=equation.stride)
+    rhs = equation.build(unknown, deps, ring)
+    for n in range(order + 1):
+        unknown.fill(n, rhs.coeff(n))
+    return XSeries(ring, order, unknown.memo)
+
+
+def closed_form(class_id: str, jet_order: int):
+    """Slots 0..jet_order of the class's jet-mode series in closed form
+    (a ``staircase.slots.ClosedForm``).  Each class keeps the forms of the
+    highest jet order built; a lower one takes a prefix."""
+    if class_id not in CLASS_EQUATIONS:
+        raise ValueError(f"unknown symmetry class: {class_id!r}")
+    cached = _CLOSED_FORMS.get(class_id)
+    if cached is None or len(cached.slots) <= jet_order:
+        cached = _CLOSED_FORMS[class_id] = _build_closed_form(class_id, jet_order)
+    return cached.prefix(jet_order) if len(cached.slots) > jet_order + 1 else cached
+
+
+def _build_closed_form(class_id: str, jet_order: int):
+    from .slots import solve_slots  # imported on the first jet-mode solve
+
+    equation = CLASS_EQUATIONS[class_id]
+    deps = {dep: closed_form(dep, jet_order) for dep in equation.deps}
+    return solve_slots(equation, deps, jet_order)
 
 
 def evaluate_rhs(class_id: str, candidate: XSeries, deps: dict | None = None) -> XSeries:
@@ -379,7 +417,7 @@ def evaluate_rhs(class_id: str, candidate: XSeries, deps: dict | None = None) ->
         deps = {dep: solve_series(dep, _prerequisite_order(candidate.order), ring)
                 for dep in equation.deps}
     const = _Const(candidate, val=0, stride=1, allow_overrun=True)
-    rhs = equation.build(const, deps, ring, candidate.order)
+    rhs = equation.build(const, deps, ring)
     return XSeries(ring, candidate.order,
                    [rhs.coeff(n) for n in range(candidate.order + 1)])
 

@@ -11,7 +11,9 @@ Two coefficient rings back the same series type:
 ``XSeries`` is a truncated power series in x whose coefficients live in one
 of these rings.  Products, reciprocals and the substitutions x -> x*q and
 (x, q) -> (x**2, q**2) of whole series are the lazy nodes in ``feq``; each
-ring adapter gives them one convolution kernel, ``conv_into``.
+ring adapter gives them one convolution kernel, ``conv_into``.  Jet-ring
+class series are solved in closed form (``staircase.slots``) instead, so the
+jet kernel runs only when the lazy interpreter is used as their oracle.
 """
 
 from __future__ import annotations
@@ -188,8 +190,7 @@ class LaurentQPoly:
 
 def _mul_slots_into(acc: list, a, b):
     """acc[s + t] += a[s] * b[t] for s + t <= K = len(acc) - 1.  The one
-    product loop of the jet ring, apart from the unrolled small-K branches
-    of JetRing.conv_into."""
+    product loop of the jet ring."""
     K = len(acc) - 1
     for s in range(K + 1):
         x = a[s]
@@ -321,6 +322,9 @@ class ExactRing:
         self.zero = LaurentQPoly()
         self.one = LaurentQPoly.term(1)
 
+    def __reduce__(self):
+        return exact_ring, ()
+
     def coerce(self, value):
         if isinstance(value, LaurentQPoly):
             return value
@@ -387,6 +391,9 @@ class JetRing:
                 row.append((j, _fastint(math.comb(i, j - i) * 2 ** (2 * i - j))))
             self._square_rows.append(tuple(row))
 
+    def __reduce__(self):
+        return jet_ring, (self.jet_order,)
+
     def coerce(self, value):
         if isinstance(value, DeltaJet):
             if value.order != self.jet_order:
@@ -442,61 +449,8 @@ class JetRing:
 
     def conv_into(self, acc, A, B, n, j_lo, j_hi, j_stride, i_val=0, i_stride=1):
         """acc += sum of A[n-j] * B[j] over j in range(j_lo, j_hi+1, j_stride),
-        skipping indices off the A lattice.  Unrolled for small jet orders,
-        where the solver spends nearly all of its time."""
-        K = self.jet_order
+        skipping indices off the A lattice."""
         check = i_stride > 1
-        if K == 0:
-            acc0 = acc[0]
-            for j in range(j_lo, j_hi + 1, j_stride):
-                i = n - j
-                if check and (i - i_val) % i_stride:
-                    continue
-                a0 = A[i].c[0]
-                if a0:
-                    b0 = B[j].c[0]
-                    if b0:
-                        acc0 += a0 * b0
-            acc[0] = acc0
-            return
-        if K == 1:
-            acc0, acc1 = acc
-            for j in range(j_lo, j_hi + 1, j_stride):
-                i = n - j
-                if check and (i - i_val) % i_stride:
-                    continue
-                a0, a1 = A[i].c
-                b0, b1 = B[j].c
-                if a0:
-                    acc0 += a0 * b0
-                    if b1:
-                        acc1 += a0 * b1
-                if a1 and b0:
-                    acc1 += a1 * b0
-            acc[0] = acc0
-            acc[1] = acc1
-            return
-        if K == 2:
-            acc0, acc1, acc2 = acc
-            for j in range(j_lo, j_hi + 1, j_stride):
-                i = n - j
-                if check and (i - i_val) % i_stride:
-                    continue
-                a0, a1, a2 = A[i].c
-                b0, b1, b2 = B[j].c
-                if a0:
-                    acc0 += a0 * b0
-                    acc1 += a0 * b1
-                    acc2 += a0 * b2
-                if a1:
-                    acc1 += a1 * b0
-                    acc2 += a1 * b1
-                if a2:
-                    acc2 += a2 * b0
-            acc[0] = acc0
-            acc[1] = acc1
-            acc[2] = acc2
-            return
         for j in range(j_lo, j_hi + 1, j_stride):
             i = n - j
             if check and (i - i_val) % i_stride:
@@ -556,6 +510,9 @@ class XSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("series are immutable")
+
+    def __reduce__(self):
+        return XSeries, (self.ring, self.order, self.coeffs)
 
     @classmethod
     def from_terms(cls, ring, order: int, terms: dict) -> "XSeries":

@@ -1,15 +1,20 @@
 """End-to-end acceptance suite.
 
 One test per criterion, each printing a PASS line with its headline numbers
-(run pytest with -s to watch them).  The big jet-mode solves make this the
-slow part of the test suite: several minutes in total.
+(run pytest with -s to watch them).
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from staircase.feq import CLASS_IDS, catalan, closed_form_coefficient, solve_series
+from staircase.feq import (
+    CLASS_IDS,
+    catalan,
+    closed_form,
+    closed_form_coefficient,
+    solve_series,
+)
 from staircase.laws import (
     airy_coeff,
     class_limit_moment,
@@ -80,6 +85,28 @@ def test_criterion_3_balance_identities():
     _report(3, "both rescaling identities exact for k <= 20")
 
 
+def test_criterion_3_solved_series_meet_the_laws():
+    """The leading singular coefficients of the solved slots F_k equal the
+    law sequences exactly: (1 - 4x)**(1/2 - 3k/2) in the full class for
+    k = 1..4, (1 - 2x)**(-1/2 - 3k/2) in the r2 class for k = 0..4.  More
+    singular terms vanish."""
+    zero = RadicalConstant(F(0))
+    for cls, x0, ks, lead, law in (
+            ("full", F(1, 4), range(1, 5), lambda k: F(1 - 3 * k, 2),
+             lambda k: RadicalConstant(singular_coeff_full(k))),
+            ("r2", F(1, 2), range(5), lambda k: F(-1 - 3 * k, 2), singular_coeff_r2)):
+        form = closed_form(cls, 4)
+        for k in ks:
+            assert form.singular_coefficient(k, x0, lead(k)) == law(k), (cls, k)
+            # no pole is deeper than the degree of the denominator
+            alpha = lead(k) - F(1, 2)
+            while alpha >= -len(form.slots[k].d):
+                assert form.singular_coefficient(k, x0, alpha) == zero, (cls, k, alpha)
+                alpha -= F(1, 2)
+    _report(3, "singular coefficients of the solved full (k <= 4) and r2 (k <= 4) "
+               "slots equal the law sequences exactly")
+
+
 M_LIST = [256, 1024, 4096]
 
 
@@ -93,7 +120,6 @@ def _check_convergence(cls, k, jet_order, tolerance):
     return devs, fit_dev
 
 
-@pytest.mark.slow
 def test_criterion_4_airy_convergence():
     """Full class: normalized moments approach the scaled Airy moments."""
     lines = []
@@ -104,7 +130,6 @@ def test_criterion_4_airy_convergence():
     _report(4, "full-class Airy convergence at m in {256,1024,4096}; " + "; ".join(lines))
 
 
-@pytest.mark.slow
 def test_criterion_5_meander_convergence():
     """r2, d2 and d1d2 classes: normalized means approach the scaled meander mean."""
     lines = []

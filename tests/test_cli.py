@@ -6,6 +6,8 @@ import pytest
 from staircase import feq
 from staircase.cli import main
 from staircase.series import DeltaJet
+from staircase.slots import ClosedForm
+from staircase.surds import Surd
 
 
 def run(argv, capsys):
@@ -167,7 +169,7 @@ class TestFailedChecks:
     def test_jet_slot_over_bound_exits_2(self, monkeypatch, capsys):
         # one polygon of half-perimeter 2 has area 1, so slot 1 (the area
         # sum) is at most 1; this equation claims 2
-        def build(u, deps, ring, order):
+        def build(u, deps, ring):
             return feq._Lin(ring, {2: DeltaJet((1, 2))}, [])
 
         monkeypatch.setitem(feq.CLASS_EQUATIONS, "square",
@@ -177,6 +179,26 @@ class TestFailedChecks:
                             "--mode", "jet", "--jet", "1"], capsys)
         assert code == 2
         assert "jet slot 1 out of range in class square at x^2" in err
+
+    def test_corrupted_closed_form_exits_2(self, monkeypatch, capsys):
+        # F_0 of the full class is (1 - 2x - sqrt(1 - 4x))/2; adding x^3 to
+        # the numerator makes its x^3 coefficient odd, so the division by 2
+        # leaves a remainder
+        real = feq._build_closed_form
+
+        def corrupted(class_id, jet_order):
+            form = real(class_id, jet_order)
+            f0 = form.slots[0]
+            bad = Surd(f0.p + (0,) * (4 - len(f0.p)) + (1,), f0.q, f0.d, f0.r)
+            return ClosedForm(class_id, (bad,) + form.slots[1:])
+
+        monkeypatch.setattr(feq, "_build_closed_form", corrupted)
+        feq.clear_cache()
+        code, _, err = run(["series", "--class", "full", "--order", "6",
+                            "--mode", "jet", "--jet", "1"], capsys)
+        feq.clear_cache()
+        assert code == 2
+        assert "not an integer" in err
 
 
 class TestUsageErrors:

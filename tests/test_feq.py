@@ -1,20 +1,30 @@
+import copy
 import pickle
 
 import pytest
 
+from staircase import feq
 from staircase.feq import (
     CLASS_IDS,
     CLASS_EQUATIONS,
     catalan,
     clear_cache,
+    closed_form,
     closed_form_coefficient,
     evaluate_rhs,
     series_rows,
     solve_series,
 )
-from staircase.feq import _Unknown, _verify_solution
+from staircase.feq import _Unknown, _solve_lazy, _verify_solution
 from staircase.polygons import enumerate_counts
 from staircase.series import DeltaJet, XSeries, exact_ring, jet_ring
+from staircase.surds import Surd
+
+
+def lazy_series(class_id, order, ring):
+    """The lazy interpreter on any ring, prerequisites included: the oracle
+    for the closed-form jet path."""
+    return _solve_lazy(class_id, order, ring, lazy_series)
 
 
 class TestKnownSeries:
@@ -209,3 +219,79 @@ class TestRows:
         assert len(rows) == 14  # seven x-orders times two slots
         assert rows[4] == ("square", 2, 0, "1")
         assert rows[5] == ("square", 2, 1, "1")
+
+
+class TestSlotInterpreter:
+    @pytest.mark.parametrize("cls", CLASS_IDS)
+    def test_equals_lazy_solver(self, cls):
+        clear_cache()
+        for K in range(5):
+            ring = jet_ring(K)
+            assert solve_series(cls, 200, ring) == lazy_series(cls, 200, ring), (cls, K)
+
+    def test_full_slots_in_closed_form(self):
+        # F_0 = (1 - 2x - sqrt(1 - 4x))/2 and F_1 = x^2/(1 - 4x)
+        f0, f1 = closed_form("full", 1).slots
+        assert f0 == Surd((1, -2), (-1,), (2,), (1, -4))
+        assert f1 == Surd((0, 0, 1), (), (1, -4))
+
+    def test_radicands(self):
+        expected = {"full": (1, -4), "r2": (1, 0, -4), "d1": (1, 0, -4),
+                    "d2": (1, 0, -4), "d1d2": (1, 0, 0, 0, -4),
+                    "rect": None, "square": None}
+        for cls, r in expected.items():
+            assert {s.r for s in closed_form(cls, 2).slots if s.q} == ({r} if r else set()), cls
+
+    def test_closed_forms_built_once_per_class(self, monkeypatch):
+        built = []
+        real = feq._build_closed_form
+
+        def counting(class_id, jet_order):
+            built.append((class_id, jet_order))
+            return real(class_id, jet_order)
+
+        monkeypatch.setattr(feq, "_build_closed_form", counting)
+        clear_cache()
+        low = solve_series("full", 513, jet_ring(1))
+        high = solve_series("full", 1025, jet_ring(1))
+        assert built == [("full", 1)]
+        assert high.coeffs[:514] == low.coeffs
+
+        clear_cache()
+        built.clear()
+        two = solve_series("full", 300, jet_ring(2))
+        one = solve_series("full", 300, jet_ring(1))
+        assert built == [("full", 2)]
+        assert [c.c for c in one.coeffs] == [c.c[:2] for c in two.coeffs]
+
+        # a dependent class reuses its prerequisite's forms
+        built.clear()
+        solve_series("r2", 100, jet_ring(2))
+        assert built == [("r2", 2)]
+        clear_cache()
+
+    def test_unknown_under_square_substitution_rejected(self, monkeypatch):
+        def build(u, deps, ring):
+            return feq._MonoMul(feq._SubX2Q2(u), 2, 0)
+
+        monkeypatch.setitem(CLASS_EQUATIONS, "square",
+                            feq.ClassEquation("square", (), 2, 2, build))
+        clear_cache()
+        with pytest.raises(RuntimeError, match="substitution"):
+            solve_series("square", 8, jet_ring(0))
+        clear_cache()
+
+
+class TestPickling:
+    @pytest.mark.parametrize("ring", [exact_ring(), jet_ring(2)], ids=["exact", "jet"])
+    def test_solved_series_round_trip(self, ring):
+        series = solve_series("r2", 12, ring)
+        for copied in (pickle.loads(pickle.dumps(series)), copy.deepcopy(series)):
+            assert copied == series
+            assert copied.ring is series.ring
+            with pytest.raises(AttributeError):
+                copied.order = 3
+
+    def test_closed_form_round_trip(self):
+        form = closed_form("r2", 2)
+        assert pickle.loads(pickle.dumps(form)) == form
