@@ -25,6 +25,7 @@ import io
 import os
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 from . import feq, laws, moments, orbits, polygons
@@ -347,12 +348,14 @@ def cmd_selftest(args) -> int:
         raise _UsageError("--max-m must be between 2 and 14 for the selftest")
     failures = 0
     for name, check in _selftest_checks(args.max_m):
+        start = time.perf_counter()
         problem = check()
+        took = f"({time.perf_counter() - start:.2f} s)"
         if problem is None:
-            print(f"ok: {name}")
+            print(f"ok: {name} {took}")
         else:
             failures += 1
-            print(f"FAIL: {name}: {problem}")
+            print(f"FAIL: {name}: {problem} {took}")
     if failures:
         print(f"{failures} check(s) failed")
         return 2

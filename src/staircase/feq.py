@@ -13,8 +13,9 @@ the unknown, and two interpreters read it:
   time: the nodes are lazy, memoized series, and coefficient n of the
   unknown is filled from coefficients < n of itself.  This computes exactly
   the limit of the plain iteration F <- RHS(F) while touching every
-  coefficient only once.  It solves exact-ring series, and is the oracle for
-  the jet-ring path.
+  coefficient only once.  It solves exact-ring series, in a ring whose
+  packing width is sized from the class's counts at q = 1, and is the
+  oracle for the jet-ring path.
 * the slot interpreter (``staircase.slots``) solves jet rings in closed form:
   each slot of the expansion around q = 1 as an element of Q(x)[sqrt r],
   whose integer coefficients are read off to any order in linear time.
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import XSeries
+from .series import ExactRing, XSeries, exact_ring, slot_width
 
 CLASS_IDS = ("full", "r2", "d1", "d2", "d1d2", "rect", "square")
 
@@ -325,16 +326,31 @@ def _prerequisite_order(order: int) -> int:
     return (order + 2) // 2
 
 
+def _counts_at_q1(class_id: str, order: int) -> list:
+    """The class's polygon counts per half-perimeter, from its closed form."""
+    return closed_form(class_id, 0).series(order).values_at_q1()
+
+
 def _verify_solution(class_id: str, series: XSeries):
     if series.ring.key == "exact":
+        # the counts at q = 1 come from the slot interpreter, so every exact
+        # solve is checked against the other interpreter; a wrapped packing
+        # slot would move a count by a multiple of 2**width - 1
+        expected = _counts_at_q1(class_id, series.order)
         for m, c in enumerate(series.coeffs):
-            for d, v in c.c.items():
+            terms = c.c
+            for d, v in terms.items():
                 if v <= 0:
                     raise RuntimeError(
                         f"negative count in class {class_id} at x^{m} q^{d}")
                 if d < 1 or 4 * d > m * m:
                     raise RuntimeError(
                         f"area {d} out of range for half-perimeter {m} in class {class_id}")
+            count = sum(terms.values())
+            if count != expected[m]:
+                raise RuntimeError(
+                    f"class {class_id} counts {count} polygons at x^{m}, "
+                    f"its closed form {expected[m]}")
     else:
         # slot k sums C(area, k) over the polygons, and area <= m*m/4
         for m, c in enumerate(series.coeffs):
@@ -363,7 +379,7 @@ def solve_series(class_id: str, order: int, ring) -> XSeries:
         return cached.truncated(order) if cached.order > order else cached
 
     if ring.key == "exact":
-        series = _solve_lazy(class_id, order, ring, solve_series)
+        series = _solve_exact(class_id, order)
     else:
         series = closed_form(class_id, ring.jet_order).series(order)
     _verify_solution(class_id, series)
@@ -382,6 +398,29 @@ def _solve_lazy(class_id: str, order: int, ring, solve_dep) -> XSeries:
     for n in range(order + 1):
         unknown.fill(n, rhs.coeff(n))
     return XSeries(ring, order, unknown.memo)
+
+
+def _solve_ring(class_id: str, order: int) -> ExactRing:
+    """An exact ring for the class at this order: its slots hold 2**16 times
+    the largest count at q = 1.  Every kernel still bounds what it packs, and
+    raises if this was too narrow."""
+    return ExactRing(slot_width(max(_counts_at_q1(class_id, order)) << 16))
+
+
+def _into(ring, series: XSeries) -> XSeries:
+    return XSeries(ring, series.order, [ring.fit(c) for c in series.coeffs])
+
+
+def _solve_exact(class_id: str, order: int) -> XSeries:
+    """The lazy interpreter in a ring packed for this solve; the solved
+    series is handed out over the shared exact ring."""
+    ring = _solve_ring(class_id, order)
+
+    def solve_dep(dep: str, dep_order: int, _):
+        return _into(ring, solve_series(dep, dep_order, exact_ring()))
+
+    solved = _solve_lazy(class_id, order, ring, solve_dep)
+    return XSeries(exact_ring(), order, solved.coeffs)
 
 
 def closed_form(class_id: str, jet_order: int):
@@ -412,13 +451,17 @@ def evaluate_rhs(class_id: str, candidate: XSeries, deps: dict | None = None) ->
     truncation are polluted by the cutoff and not meaningful.
     """
     equation = CLASS_EQUATIONS[class_id]
-    ring = candidate.ring
+    ring = out_ring = candidate.ring
     if deps is None:
         deps = {dep: solve_series(dep, _prerequisite_order(candidate.order), ring)
                 for dep in equation.deps}
+    if ring.key == "exact":  # pack as a solve of this order would
+        ring = _solve_ring(class_id, candidate.order)
+        candidate = _into(ring, candidate)
+        deps = {dep: _into(ring, series) for dep, series in deps.items()}
     const = _Const(candidate, val=0, stride=1, allow_overrun=True)
     rhs = equation.build(const, deps, ring)
-    return XSeries(ring, candidate.order,
+    return XSeries(out_ring, candidate.order,
                    [rhs.coeff(n) for n in range(candidate.order + 1)])
 
 
@@ -446,8 +489,9 @@ def series_rows(label: str, series: XSeries):
     rows = []
     if series.ring.key == "exact":
         for m, c in enumerate(series.coeffs):
-            for d in sorted(c.c):
-                rows.append((label, m, d, str(c.c[d])))
+            terms = c.c
+            for d in sorted(terms):
+                rows.append((label, m, d, str(terms[d])))
     else:
         for m, c in enumerate(series.coeffs):
             for k, v in enumerate(c.c):

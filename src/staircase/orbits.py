@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .feq import solve_series
 from .polygons import SUBGROUPS
-from .series import LaurentQPoly, XSeries, jet_ring
+from .series import XSeries, jet_ring
 
 SUBGROUP_IDS = tuple(SUBGROUPS)
 
@@ -77,15 +77,12 @@ def _divided(series: XSeries, size: int, subgroup_id: str) -> XSeries:
     if ring.key == "exact":
         out = []
         for m, c in enumerate(series.coeffs):
-            reduced = {}
-            for d, v in c.c.items():
-                q, r = divmod(v, size)
-                if r:
-                    raise RuntimeError(
-                        "Burnside integrality violated for subgroup "
-                        f"{subgroup_id} at x^{m} q^{d}")
-                reduced[d] = q
-            out.append(LaurentQPoly(reduced))
+            try:
+                out.append(c.divide_exact(size))
+            except ArithmeticError as exc:
+                raise RuntimeError(
+                    "Burnside integrality violated for subgroup "
+                    f"{subgroup_id} at x^{m} q^{exc.args[0]}") from None
         return XSeries(ring, series.order, out)
     scale = Fraction(1, size)
     return XSeries(ring, series.order, [c * scale for c in series.coeffs])

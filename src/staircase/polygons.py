@@ -2,11 +2,12 @@
 
 A staircase polygon is the region between two up/right lattice walks that
 share exactly their endpoints.  Both walks take one step per unit of x+y, so
-two walks collide exactly when they occupy the same lockstep position; the
-generator below walks pairs of paths depth-first, pruning on that condition.
-This is deliberately independent of the sequence decomposition behind the
-functional equations, so the resulting count table serves as ground truth
-for the series solvers.
+two walks collide exactly when they occupy the same lockstep position;
+``enumerate_polygons`` walks pairs of paths depth-first, pruning on that
+condition.  ``enumerate_counts`` appends whole columns instead, and the two
+are tested against each other.  Both are deliberately independent of the
+sequence decomposition behind the functional equations, so the resulting
+count table serves as ground truth for the series solvers.
 
 Polygons are stored as column tuples: entry i is the half-open cell interval
 (bottom, top) of abscissa i.  Point symmetries of the square lattice act on
@@ -334,34 +335,21 @@ class CountTable:
 
 def enumerate_counts(max_half_perimeter: int) -> CountTable:
     """Count every staircase polygon with half-perimeter up to the bound,
-    classified by which symmetry-class generators fix it."""
+    classified by which symmetry-class generators fix it.
+
+    Every prefix of a staircase polygon's columns is a staircase polygon, so
+    a depth-first search that appends one column at a time visits each
+    polygon exactly once and never reaches a dead end: after a column
+    (b', t') comes any (b, t) with b' <= b < t' and t >= t'.  The area grows
+    by t - b per column."""
     _check_bound(max_half_perimeter)
     counts: dict = {}
-    lo = [1]
-    up = [0]
+    b: list = []
+    t: list = []
 
-    def tally():
-        b = []
-        y = 0
-        for s in lo:
-            if s:
-                b.append(y)
-            else:
-                y += 1
-        t = []
-        y = 0
-        for s in up:
-            if s:
-                t.append(y)
-            else:
-                y += 1
+    def tally(m, n):
         width = len(b)
         height = t[-1]
-        m = width + height
-        n = 0
-        for i in range(width):
-            n += t[i] - b[i]
-
         key = ("full", m, n)
         counts[key] = counts.get(key, 0) + 1
 
@@ -426,20 +414,25 @@ def enumerate_counts(max_half_perimeter: int) -> CountTable:
             key = ("square", m, n)
             counts[key] = counts.get(key, 0) + 1
 
-    def descend(dx):
-        if dx == 0:
-            tally()
-            return
-        depth = len(lo)
-        if depth == max_half_perimeter or dx > max_half_perimeter - depth:
-            return
-        for ls, us in ((1, 1), (1, 0), (0, 1), (0, 0)):
-            lo.append(ls)
-            up.append(us)
-            descend(dx + ls - us)
-            lo.pop()
-            up.pop()
+    def extend(area):
+        # the new column is column number `width`; its top is at most the
+        # bound minus the new width, which keeps the half-perimeter in range
+        width = len(b) + 1
+        last_b, last_t = b[-1], t[-1]
+        for nb in range(last_b, last_t):
+            b.append(nb)
+            for nt in range(last_t, max_half_perimeter - width + 1):
+                t.append(nt)
+                n = area + nt - nb
+                tally(width + nt, n)
+                extend(n)
+                t.pop()
+            b.pop()
 
-    descend(1)
+    b.append(0)
+    for top in range(1, max_half_perimeter):
+        t.append(top)
+        tally(1 + top, top)
+        extend(top)
+        t.pop()
     return CountTable(counts, max_half_perimeter)
-

@@ -3,7 +3,8 @@
 Two coefficient rings back the same series type:
 
 * ``LaurentQPoly`` -- exact Laurent polynomials in q with integer
-  coefficients (sparse: the square class stores just q**(s*s) per entry).
+  coefficients, each packed into one int with a degree offset (the square
+  class's q**(s*s) is the int 1 at offset s*s).
 * ``DeltaJet`` -- the expansion of a q-polynomial around q = 1 truncated at
   order K in delta = q - 1.  Slot j holds the j-th q-derivative divided by
   j!, which is exactly the data needed for factorial moments of order <= K.
@@ -35,26 +36,68 @@ def _binomial(n: int, j: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact coefficients: Laurent polynomials in q
+# exact coefficients: Laurent polynomials in q, packed into one int
 # ---------------------------------------------------------------------------
 
-def _mul_terms_into(acc: dict, a, b):
-    """acc += a * b for {degree: coeff} maps; zero sums are dropped.  The one
-    product loop of the exact ring."""
-    get = acc.get
-    for da, va in a.items():
-        for db, vb in b.items():
-            d = da + db
-            w = get(d, 0) + va * vb
-            if w:
-                acc[d] = w
-            elif d in acc:
-                del acc[d]
+def slot_width(norm: int) -> int:
+    """The narrowest slot width, a multiple of 8 bits, whose signed slots hold
+    every coefficient of a polynomial with sum |c_d| <= norm."""
+    return (norm.bit_length() + 8) & ~7
+
+
+def _offsets(keep: int, step: int, n: int) -> int:
+    """2**(8*keep - 1) in each of n slots of step bytes."""
+    return int.from_bytes((bytes(keep - 1) + b"\x80" + bytes(step - keep)) * n, "little")
+
+
+def _pack(terms: dict, lo: int, w: int) -> int:
+    """sum c_d * 2**(w*(d - lo)) over {d: c_d}, for |c_d| < 2**(w-1) and
+    d >= lo.  Only whole polynomials built from maps are packed this way;
+    the solver's values are made by products, shifts and sums."""
+    return sum(c << (w * (d - lo)) for d, c in terms.items())
+
+
+def _unpack(v: int, lo: int, w: int) -> dict:
+    """The {degree: coeff} map of a packed int whose slots all lie strictly
+    inside (-2**(w-1), 2**(w-1)); the inverse of _pack."""
+    if not v:
+        return {}
+    size = w // 8
+    # the top nonzero slot t gives |v| > 2**(w*t - 1), so n slots reach it
+    n = (abs(v).bit_length() + w) // w
+    half = _offsets(size, size, n)
+    # slot k of (v + half) is c_k + 2**(w-1) with no carries; flipping its
+    # top bit leaves c_k in w-bit two's complement
+    raw = ((v + half) ^ half).to_bytes(n * size, "little")
+    slots = (int.from_bytes(raw[i:i + size], "little", signed=True)
+             for i in range(0, n * size, size))
+    return {lo + k: c for k, c in enumerate(slots) if c}
+
+
+def _reslot(v: int, w: int, w2: int, spread: int = 1) -> int:
+    """A packed int with its w-bit slots moved to w2-bit slots, each spread
+    slots apart (spread 2 substitutes q -> q**2); every slot must fit in w2
+    bits.  With h = 2**(8*keep - 1) for the narrower slot size keep, slot k
+    is written as c_k + h, which fits in keep bytes; those bytes move in
+    strided slices, one per byte of a slot rather than one per slot, and h
+    is taken off again at the new stride."""
+    if not v:
+        return 0
+    size, size2 = w // 8, w2 // 8
+    keep = min(size, size2)
+    step = spread * size2
+    n = (abs(v).bit_length() + w) // w
+    raw = (v + _offsets(keep, size, n)).to_bytes(n * size, "little")
+    buf = bytearray(n * step)
+    for j in range(keep):
+        buf[j::step] = raw[j::size]
+    return int.from_bytes(buf, "little") - _offsets(keep, step, n)
 
 
 class _Terms(dict):
     """The {degree: coeff} map of a LaurentQPoly: a dict that refuses writes,
-    because solved series are cached and shared."""
+    since it is a copy read off the packed int and a write would change
+    nothing."""
 
     __slots__ = ()
 
@@ -68,25 +111,44 @@ class _Terms(dict):
         return _Terms, (dict(self),)
 
 
-class LaurentQPoly:
-    """Sparse Laurent polynomial in q with exact integer coefficients.
+def _fill(p, v: int, lo: int, w: int, norm: int):
+    """Set the packed fields of p; norm < 2**(w-1) is the caller's to keep."""
+    for name, value in (("v", v), ("lo", lo), ("w", w), ("norm", norm)):
+        object.__setattr__(p, name, value)
+    return p
 
-    Zero coefficients are never stored.  Instances are immutable: ``c`` is a
-    read-only dict and cannot be rebound.
+
+def _poly(v: int, lo: int, w: int, norm: int) -> "LaurentQPoly":
+    return _fill(object.__new__(LaurentQPoly), v, lo, w, norm)
+
+
+class LaurentQPoly:
+    """Laurent polynomial in q with exact integer coefficients, packed into
+    one int (Kronecker substitution q = 2**w).
+
+    sum c_d q**d is stored as v = sum c_d * 2**(w*(d - lo)): slot k of v, w
+    bits wide and signed, holds the coefficient of q**(lo + k).  norm bounds
+    sum |c_d| and stays below 2**(w-1), so every slot can be read back; each
+    operation picks a width that keeps it so.  A product is then one integer
+    product, q_shift only moves lo, and a sum is a shift and an add.
+
+    ``c`` is the read-only {degree: coeff} map without zero coefficients.
+    It is unpacked on every read, so only the int is kept in memory; bind it
+    once where it is read in a loop.  Instances are immutable.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("v", "lo", "w", "norm")
 
     def __init__(self, coeffs=None):
-        terms = () if coeffs is None else ((d, v) for d, v in coeffs.items() if v)
-        object.__setattr__(self, "c", _Terms(terms))
+        terms = {d: x for d, x in coeffs.items() if x} if coeffs else {}
+        norm = sum(map(abs, terms.values()))
+        lo = min(terms, default=0)
+        w = slot_width(norm)
+        _fill(self, _pack(terms, lo, w), lo, w, norm)
 
-    @classmethod
-    def _of(cls, c: dict) -> "LaurentQPoly":
-        """Wrap a map that holds no zero coefficients."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "c", _Terms(c))
-        return out
+    @property
+    def c(self) -> dict:
+        return _Terms(_unpack(self.v, self.lo, self.w))
 
     def __setattr__(self, name, value):
         raise AttributeError("q-polynomials are immutable")
@@ -96,13 +158,19 @@ class LaurentQPoly:
 
     @classmethod
     def term(cls, coeff: int, degree: int = 0) -> "LaurentQPoly":
-        return cls({degree: coeff})
+        return _poly(coeff, degree, slot_width(abs(coeff)), abs(coeff))
+
+    def _packed(self, w: int) -> int:
+        """v at slot width w; w must hold the norm."""
+        return self.v if w == self.w else _reslot(self.v, self.w, w)
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.v)
 
     def __eq__(self, other):
         if isinstance(other, LaurentQPoly):
+            if self.w == other.w and self.lo == other.lo:
+                return self.v == other.v
             return self.c == other.c
         if isinstance(other, int):
             return self.c == ({} if other == 0 else {0: other})
@@ -111,53 +179,70 @@ class LaurentQPoly:
     def __hash__(self):
         return hash(frozenset(self.c.items()))
 
+    def _plus(self, other: "LaurentQPoly", sign: int) -> "LaurentQPoly":
+        if not other.v:
+            return self
+        if not self.v:
+            return other if sign > 0 else -other
+        norm = self.norm + other.norm
+        w = max(self.w, other.w, slot_width(norm))
+        a = self._packed(w)
+        b = other._packed(w) if sign > 0 else -other._packed(w)
+        gap = other.lo - self.lo
+        if gap >= 0:
+            return _poly(a + (b << (w * gap)), self.lo, w, norm)
+        return _poly((a << (-w * gap)) + b, other.lo, w, norm)
+
     def __add__(self, other):
         if isinstance(other, int):
             other = LaurentQPoly.term(other)
         if not isinstance(other, LaurentQPoly):
             return NotImplemented
-        c = dict(self.c)
-        for d, v in other.c.items():
-            w = c.get(d, 0) + v
-            if w:
-                c[d] = w
-            elif d in c:
-                del c[d]
-        return LaurentQPoly._of(c)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentQPoly._of({d: -v for d, v in self.c.items()})
+        return _poly(-self.v, self.lo, self.w, self.norm)
 
     def __sub__(self, other):
         if isinstance(other, int):
             other = LaurentQPoly.term(other)
-        return self + (-other)
+        if not isinstance(other, LaurentQPoly):
+            return NotImplemented
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        """One integer product, at a width that holds the product's norm."""
         if isinstance(other, int):
-            if other == 0:
-                return LaurentQPoly()
-            return LaurentQPoly._of({d: v * other for d, v in self.c.items()})
+            other = LaurentQPoly.term(other)
         if not isinstance(other, LaurentQPoly):
             return NotImplemented
-        c: dict[int, int] = {}
-        _mul_terms_into(c, self.c, other.c)
-        return LaurentQPoly._of(c)
+        norm = self.norm * other.norm
+        w = max(self.w, other.w, slot_width(norm))
+        return _poly(self._packed(w) * other._packed(w), self.lo + other.lo, w, norm)
 
     __rmul__ = __mul__
 
+    def divide_exact(self, k: int) -> "LaurentQPoly":
+        """Every coefficient divided by the integer k > 0; ArithmeticError
+        naming the lowest degree whose coefficient k does not divide."""
+        for d, x in sorted(self.c.items()):
+            if x % k:
+                raise ArithmeticError(d)
+        # k divides every slot, so it divides v slot by slot
+        return _poly(self.v // k, self.lo, self.w, self.norm // k)
+
     def q_shift(self, n: int) -> "LaurentQPoly":
         """Multiply by q**n."""
-        return LaurentQPoly._of({d + n: v for d, v in self.c.items()})
+        return _poly(self.v, self.lo + n, self.w, self.norm)
 
     def q_square(self) -> "LaurentQPoly":
-        """Substitute q -> q**2."""
-        return LaurentQPoly._of({2 * d: v for d, v in self.c.items()})
+        """Substitute q -> q**2: the one operation that repacks."""
+        return _poly(_reslot(self.v, self.w, self.w, 2), 2 * self.lo, self.w, self.norm)
 
     def at_q1(self) -> int:
         return sum(self.c.values())
@@ -171,11 +256,12 @@ class LaurentQPoly:
         return DeltaJet(tuple(slots))
 
     def __repr__(self):
-        if not self.c:
+        terms = self.c
+        if not terms:
             return "0"
         bits = []
-        for d in sorted(self.c):
-            v = self.c[d]
+        for d in sorted(terms):
+            v = terms[d]
             if d == 0:
                 bits.append(str(v))
             else:
@@ -313,61 +399,107 @@ def jet_q_power(n: int, jet_order: int) -> DeltaJet:
 # ---------------------------------------------------------------------------
 
 class ExactRing:
-    """Coefficient ring of exact Laurent q-polynomials."""
+    """Coefficient ring of exact Laurent q-polynomials, packed at one slot
+    width.
+
+    Its kernels work at the ring's width and raise RuntimeError rather than
+    let any slot reach 2**(width - 1): ``fit`` repacks a value into the ring,
+    and ``conv_into`` bounds each sum by the norms of its products.  The
+    shared ``exact_ring()`` packs at 64 bits; each exact solve runs in a ring
+    whose width suits its class and order.
+    """
 
     key = "exact"
     jet_order = None
 
-    def __init__(self):
-        self.zero = LaurentQPoly()
-        self.one = LaurentQPoly.term(1)
+    def __init__(self, width: int = 64):
+        if width < 8 or width % 8:
+            raise ValueError("slot widths are positive multiples of 8 bits")
+        self.width = width
+        self.limit = 1 << (width - 1)
+        self.zero = _poly(0, 0, width, 0)
+        self.one = _poly(1, 0, width, 1)
 
     def __reduce__(self):
         return exact_ring, ()
 
+    def fit(self, c: LaurentQPoly) -> LaurentQPoly:
+        """c packed at the ring's width."""
+        if c.w == self.width:
+            return c
+        if c.norm >= self.limit:
+            raise RuntimeError(
+                f"q-polynomial with coefficient sum up to {c.norm} "
+                f"overflows {self.width}-bit slots")
+        return _poly(c._packed(self.width), c.lo, self.width, c.norm)
+
     def coerce(self, value):
-        if isinstance(value, LaurentQPoly):
-            return value
+        """value as a q-polynomial, at the ring's width where it fits."""
         if isinstance(value, int):
-            return LaurentQPoly.term(value) if value else self.zero
-        raise TypeError(f"cannot coerce {type(value).__name__} into the exact ring")
+            value = LaurentQPoly.term(value)
+        elif not isinstance(value, LaurentQPoly):
+            raise TypeError(f"cannot coerce {type(value).__name__} into the exact ring")
+        return self.fit(value) if value.norm < self.limit else value
 
     def is_zero(self, c) -> bool:
-        return not c.c
+        return not c.v
 
     def q_shift(self, c, n: int):
-        return c.q_shift(n) if c.c else c
+        return c.q_shift(n) if c.v else c
 
     def q_square(self, c):
-        return c.q_square() if c.c else c
+        return c.q_square() if c.v else c
 
     def invert_unit(self, c):
-        if len(c.c) == 1:
-            (d, v), = c.c.items()
+        terms = c.c
+        if len(terms) == 1:
+            (d, v), = terms.items()
             if v in (1, -1):
-                return LaurentQPoly.term(v, -d)
+                return self.fit(LaurentQPoly.term(v, -d))
         raise ValueError("series not invertible")
 
-    # low-level accumulation hooks used by convolution loops
+    # low-level accumulation hooks used by convolution loops: an accumulator
+    # is [packed int, lo, norm], its lo None until the first product
     def acc_new(self):
-        return {}
+        return [0, None, 0]
 
-    def acc_close(self, acc: dict) -> LaurentQPoly:
-        return LaurentQPoly._of(acc)
+    def acc_close(self, acc: list) -> LaurentQPoly:
+        v, lo, norm = acc
+        return _poly(v, lo, self.width, norm) if v else self.zero
 
     def conv_into(self, acc, A, B, n, j_lo, j_hi, j_stride, i_val=0, i_stride=1):
         """acc += sum of A[n-j] * B[j] over j in range(j_lo, j_hi+1, j_stride),
-        skipping indices off the A lattice."""
+        skipping indices off the A lattice.  Each pair is one integer
+        product."""
+        w = self.width
+        v, lo, norm = acc
         for j in range(j_lo, j_hi + 1, j_stride):
             i = n - j
             if i_stride > 1 and (i - i_val) % i_stride:
                 continue
-            ac = A[i].c
-            if not ac:
+            a = A[i]
+            if not a.v:
                 continue
-            bc = B[j].c
-            if bc:
-                _mul_terms_into(acc, ac, bc)
+            b = B[j]
+            if not b.v:
+                continue
+            if a.w != w or b.w != w:
+                a, b = self.fit(a), self.fit(b)
+            norm += a.norm * b.norm
+            p = a.v * b.v
+            d = a.lo + b.lo
+            if lo is None:
+                v, lo = p, d
+            elif d >= lo:
+                v += p << (w * (d - lo))
+            else:
+                v = (v << (w * (lo - d))) + p
+                lo = d
+        if norm >= self.limit:
+            raise RuntimeError(
+                f"q-polynomial convolution with coefficient sum up to {norm} "
+                f"overflows {w}-bit slots")
+        acc[:] = v, lo, norm
 
 
 class JetRing:
@@ -467,6 +599,7 @@ _JET_RINGS: dict[int, JetRing] = {}
 
 
 def exact_ring() -> ExactRing:
+    """The shared exact ring, packing at 64 bits."""
     return _EXACT_RING
 
 

@@ -1,11 +1,13 @@
 import csv
 import io
+import re
 
 import pytest
 
 from staircase import feq
 from staircase.cli import main
-from staircase.series import DeltaJet
+from staircase import series as series_module
+from staircase.series import DeltaJet, ExactRing, XSeries
 from staircase.slots import ClosedForm
 from staircase.surds import Surd
 
@@ -201,6 +203,39 @@ class TestFailedChecks:
         assert "not an integer" in err
 
 
+    def test_packing_width_too_narrow_exits_2(self, monkeypatch, capsys):
+        # 16-bit slots hold coefficient sums below 2**15; the full class
+        # counts 58786 polygons at x^12
+        monkeypatch.setattr(feq, "_solve_ring", lambda class_id, order: ExactRing(16))
+        feq.clear_cache()
+        code, _, err = run(["series", "--class", "full", "--order", "14",
+                            "--mode", "exact"], capsys)
+        feq.clear_cache()
+        assert code == 2
+        assert "overflows 16-bit slots" in err
+
+    def test_corrupted_packed_coefficient_exits_2(self, monkeypatch, capsys):
+        # one more polygon at an area that occurs: the count stays positive
+        # and in range, so only the count at q = 1 against the closed form
+        # can see it
+        real = feq._solve_lazy
+
+        def corrupted(class_id, order, ring, solve_dep):
+            solved = real(class_id, order, ring, solve_dep)
+            c = solved.coeffs[6]
+            d = min(c.c)
+            bad = series_module._poly(c.v + (1 << (c.w * (d - c.lo))), c.lo, c.w, c.norm + 1)
+            return XSeries(ring, order, solved.coeffs[:6] + (bad,) + solved.coeffs[7:])
+
+        monkeypatch.setattr(feq, "_solve_lazy", corrupted)
+        feq.clear_cache()
+        code, _, err = run(["series", "--class", "full", "--order", "8",
+                            "--mode", "exact"], capsys)
+        feq.clear_cache()
+        assert code == 2
+        assert "class full counts 43 polygons at x^6, its closed form 42" in err
+
+
 class TestUsageErrors:
     def test_unknown_class(self, capsys):
         code, _, err = run(["series", "--class", "pentagon", "--order", "8"], capsys)
@@ -227,6 +262,8 @@ class TestSelftest:
         lines = out.strip().splitlines()
         assert sum(1 for line in lines if line.startswith("ok: ")) == 8
         assert lines[-1] == "all checks passed"
+        # each check reports its own time
+        assert all(re.fullmatch(r"ok: .+ \(\d+\.\d\d s\)", line) for line in lines[:-1])
 
     def test_bound_validated(self, capsys):
         assert run(["selftest", "--max-m", "40"], capsys)[0] == 1

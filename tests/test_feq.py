@@ -198,7 +198,38 @@ class TestSolverContracts:
         assert solve_series("square", 8, exact_ring()).coeffs[6].c == {9: 1}
 
 
+class TestExactPacking:
+    def test_width_sized_per_class(self):
+        # each solve packs at a width holding 2**16 times the class's largest
+        # count at q = 1, so the classes get different widths
+        widths = {}
+        for cls in CLASS_IDS:
+            largest = max(closed_form(cls, 0).series(56).values_at_q1())
+            widths[cls] = feq._solve_ring(cls, 56).width
+            assert largest << 16 < 2 ** (widths[cls] - 1), cls
+            assert widths[cls] % 8 == 0
+        assert widths["full"] > widths["r2"] > widths["d1d2"] > widths["square"]
+
+    def test_solved_series_are_handed_out_over_the_shared_ring(self):
+        clear_cache()
+        for cls in ("full", "r2"):
+            assert solve_series(cls, 30, exact_ring()).ring is exact_ring()
+
+    def test_evaluate_rhs_packs_past_64_bits(self):
+        # counts of the full class pass 2**63 near x^36
+        solution = solve_series("full", 48, exact_ring())
+        image = evaluate_rhs("full", solution)
+        assert image.coeffs[:47] == solution.coeffs[:47]
+        assert max(solution.values_at_q1()) > 2 ** 64
+
+
 class TestCrossRing:
+    @pytest.mark.parametrize("cls", CLASS_IDS)
+    def test_exact_collapses_to_jet_closed_forms_at_order_64(self, cls):
+        exact = solve_series(cls, 64, exact_ring())
+        for K in range(4):
+            assert exact.collapse(K) == closed_form(cls, K).series(64), (cls, K)
+
     def test_jet_solution_equals_collapsed_exact(self):
         ring = exact_ring()
         for cls in CLASS_IDS:

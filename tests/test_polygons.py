@@ -23,6 +23,28 @@ BEND = Polygon.from_columns([(0, 2), (1, 2)])  # area-3 bend, anti-diagonal mirr
 DOUBLE_BEND = Polygon.from_columns([(0, 2), (0, 3), (1, 3)])
 
 
+def _recount(max_m):
+    """Counts per (class, half-perimeter, area) from the walk-pair generator
+    and the stabilizer of each polygon."""
+    recount: dict = {}
+    for p in enumerate_polygons(max_m):
+        sig = symmetry_signature(p)
+        key = (p.half_perimeter, p.area)
+        members = {
+            "full": True,
+            "r2": "r2" in sig,
+            "d1": "d1" in sig,
+            "d2": "d2" in sig,
+            "d1d2": {"d1", "d2"} <= sig,
+            "rect": "h" in sig,
+            "square": "r" in sig,
+        }
+        for cls, hit in members.items():
+            if hit:
+                recount[(cls, *key)] = recount.get((cls, *key), 0) + 1
+    return recount
+
+
 class TestPolygonBasics:
     def test_unit_square_from_walks(self):
         p = Polygon.from_walks("RU", "UR")
@@ -193,24 +215,16 @@ class TestEnumeration:
         assert all(table.count("square", 2 * s, s * s) == 1 for s in range(1, 6))
 
     def test_counts_agree_with_polygon_generator(self):
-        table = enumerate_counts(8)
-        recount: dict = {}
-        for p in enumerate_polygons(8):
-            sig = symmetry_signature(p)
-            key = (p.half_perimeter, p.area)
-            members = {
-                "full": True,
-                "r2": "r2" in sig,
-                "d1": "d1" in sig,
-                "d2": "d2" in sig,
-                "d1d2": {"d1", "d2"} <= sig,
-                "rect": "h" in sig,
-                "square": "r" in sig,
-            }
-            for cls, hit in members.items():
-                if hit:
-                    recount[(cls, *key)] = recount.get((cls, *key), 0) + 1
-        assert recount == table.counts
+        assert _recount(8) == enumerate_counts(8).counts
+
+    def test_column_search_agrees_with_walk_pairs_at_10(self):
+        # enumerate_counts appends columns, enumerate_polygons walks path
+        # pairs: the two agree class by class
+        table = enumerate_counts(10)
+        recount = _recount(10)
+        for cls in CLASSES:
+            assert ({k: v for k, v in recount.items() if k[0] == cls}
+                    == {k: v for k, v in table.counts.items() if k[0] == cls}), cls
 
     def test_partial_order_between_classes(self):
         table = enumerate_counts(10)

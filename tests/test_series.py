@@ -6,6 +6,7 @@ import pytest
 from staircase.feq import _Const, _MonoMul, _Mul, _Recip, _SubX2Q2, _SubXQ
 from staircase.series import (
     DeltaJet,
+    ExactRing,
     LaurentQPoly,
     XSeries,
     exact_ring,
@@ -260,13 +261,125 @@ class TestKernels:
         ring = exact_ring()
         for A, B, n, j_lo, j_hi in _conv_cases(rng, lambda: _random_laurent(rng)):
             start = _random_laurent(rng)
-            acc = dict(start.c)
+            acc = ring.acc_new()
+            ring.conv_into(acc, [start], [ring.one], 0, 0, 0, 1)
             ring.conv_into(acc, A, B, n, j_lo, j_hi, j_stride, i_val, i_stride)
             expected = start
             for j in range(j_lo, j_hi + 1, j_stride):
                 if (n - j - i_val) % i_stride == 0:
                     expected = expected + A[n - j] * B[j]
             assert ring.acc_close(acc) == expected
+
+
+    @pytest.mark.parametrize("j_stride, i_val, i_stride", LATTICES)
+    def test_exact_conv_into_across_widths(self, j_stride, i_val, i_stride):
+        # operands of up to 200 bits, each at its own width, repacked into a
+        # 512-bit ring
+        rng = random.Random(20 + i_stride)
+        ring = ExactRing(512)
+        for A, B, n, j_lo, j_hi in _conv_cases(rng, lambda: _wide_laurent(rng)):
+            acc = ring.acc_new()
+            ring.conv_into(acc, A, B, n, j_lo, j_hi, j_stride, i_val, i_stride)
+            expected = {}
+            for j in range(j_lo, j_hi + 1, j_stride):
+                if (n - j - i_val) % i_stride == 0:
+                    expected = _naive_sum(expected, _naive_mul(A[n - j].c, B[j].c), 1)
+            assert ring.acc_close(acc).c == expected
+
+
+def _wide_laurent(rng):
+    """Negative degrees and coefficients, from one bit to 200 bits, so that
+    sums and products cross packing widths."""
+    def coeff():
+        if rng.random() < 0.5:
+            return rng.randint(-9, 9)
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 200))
+    return LaurentQPoly({rng.randint(-6, 9): coeff() for _ in range(rng.randint(0, 6))})
+
+
+def _naive_mul(a, b):
+    """The product of two {degree: coeff} maps by a written-out double loop."""
+    out = {}
+    for da, va in a.items():
+        for db, vb in b.items():
+            out[da + db] = out.get(da + db, 0) + va * vb
+    return {d: v for d, v in out.items() if v}
+
+
+def _naive_sum(a, b, sign):
+    out = dict(a)
+    for d, v in b.items():
+        out[d] = out.get(d, 0) + sign * v
+    return {d: v for d, v in out.items() if v}
+
+
+class TestPackedRing:
+    """LaurentQPoly keeps each polynomial as one packed int; every operation
+    must agree with plain loops over {degree: coeff} maps."""
+
+    def test_operations_match_naive_loops(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            a, b = _wide_laurent(rng), _wide_laurent(rng)
+            ac, bc = a.c, b.c
+            assert (a * b).c == _naive_mul(ac, bc)
+            assert (a + b).c == _naive_sum(ac, bc, 1)
+            assert (a - b).c == _naive_sum(ac, bc, -1)
+            assert (-a).c == {d: -v for d, v in ac.items()}
+            k = rng.randint(-3, 3)
+            assert (a * k).c == (k * a).c == {d: v * k for d, v in ac.items() if k}
+            n = rng.randint(-7, 7)
+            assert a.q_shift(n).c == {d + n: v for d, v in ac.items()}
+            assert a.q_square().c == {2 * d: v for d, v in ac.items()}
+            assert a.at_q1() == sum(ac.values())
+
+    def test_norm_bounds_every_result(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            a, b = _wide_laurent(rng), _wide_laurent(rng)
+            for p in (a, b, a * b, a + b, a - b, a.q_square(), (a * b) * (a - b)):
+                assert sum(abs(v) for v in p.c.values()) <= p.norm < 2 ** (p.w - 1)
+                assert p.w % 8 == 0
+
+    def test_equal_polynomials_compare_equal_across_widths(self):
+        p = LaurentQPoly({-2: 5, 3: -7})
+        wide = ExactRing(256).fit(p)
+        assert wide.w == 256 and wide == p and hash(wide) == hash(p)
+        assert wide.c == p.c and not (wide != p)
+        assert ExactRing(64).fit(wide) == p
+
+    @pytest.mark.parametrize("width", [8, 16, 24, 64, 72, 120, 256])
+    def test_repacking_keeps_coefficients(self, width):
+        rng = random.Random(width)
+        ring = ExactRing(width)
+        for _ in range(200):
+            p = _wide_laurent(rng)
+            if p.norm >= ring.limit:
+                with pytest.raises(RuntimeError, match="overflows"):
+                    ring.fit(p)
+                continue
+            packed = ring.fit(p)
+            assert packed.w == width and packed.c == p.c
+            assert ring.q_square(packed).c == p.q_square().c
+
+    def test_kernel_refuses_a_sum_that_could_overflow(self):
+        ring = ExactRing(8)
+        x = ring.fit(LaurentQPoly({0: 1, 1: 10}))  # norm 11
+        acc = ring.acc_new()
+        ring.conv_into(acc, [x], [x], 0, 0, 0, 1)  # bound 121 < 128
+        assert ring.acc_close(acc).c == {0: 1, 1: 20, 2: 100}
+        with pytest.raises(RuntimeError, match="overflows 8-bit slots"):
+            ring.conv_into(acc, [x], [ring.one], 0, 0, 0, 1)  # bound 132
+        with pytest.raises(RuntimeError, match="overflows 8-bit slots"):
+            ring.fit(LaurentQPoly({0: 128}))
+        assert ring.fit(LaurentQPoly({0: 127})).c == {0: 127}
+
+    def test_divide_exact(self):
+        p = LaurentQPoly({1: 4, 3: -8})
+        assert p.divide_exact(4).c == {1: 1, 3: -2}
+        with pytest.raises(ArithmeticError) as info:
+            LaurentQPoly({1: 4, 2: 6, 3: 5}).divide_exact(2)
+        assert info.value.args == (3,)
 
 
 class TestCrossRing:
