@@ -9,7 +9,6 @@ from .series import (
     exact_ring,
     jet_q_power,
     jet_ring,
-    rational_ring,
 )
 from .polygons import (
     CLASSES,
@@ -49,7 +48,6 @@ __all__ = [
     "is_fixed",
     "jet_q_power",
     "jet_ring",
-    "rational_ring",
     "solve_series",
     "symmetry_signature",
 ]

@@ -224,8 +224,7 @@ def cmd_orbits(args) -> int:
         return 0
     if args.order < 2:
         raise _UsageError("--order must be >= 2")
-    ring = exact_ring() if args.mode == "exact" else jet_ring(args.jet)
-    series = orbits.orbit_series(args.subgroup, args.order, ring)
+    series = orbits.orbit_series(args.subgroup, args.order, _ring_for(args))
     if args.mode == "exact":
         header = ("subgroup", "m", "n", "orbit_count")
     else:
@@ -379,10 +378,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -55,14 +55,13 @@ class SqrtScaled:
         return self.exact_str()
 
 
-def relative_deviation(value: SqrtScaled, target: RadicalConstant,
-                       bits: int = DEVIATION_BITS) -> Fraction:
-    """value / target - 1 as a rational accurate to the given bit precision."""
+def relative_deviation(value: SqrtScaled, target: RadicalConstant) -> Fraction:
+    """value / target - 1 as a rational accurate to DEVIATION_BITS bits."""
     if target.r == 0:
         raise ZeroDivisionError("relative deviation against a zero target")
     ratio = value.rational / target.r
-    fixed = fixed_scaled(ratio, -target.a, -target.b, bits, value.root)
-    return Fraction(fixed - (1 << bits), 1 << bits)
+    fixed = fixed_scaled(ratio, -target.a, -target.b, DEVIATION_BITS, value.root)
+    return Fraction(fixed - (1 << DEVIATION_BITS), 1 << DEVIATION_BITS)
 
 
 @lru_cache(maxsize=None)
@@ -111,19 +110,25 @@ def _half_perimeter(class_id: str, m: int) -> int:
     return m if binding.index == "half" else 2 * m
 
 
+def _moments_at(class_id: str, series: XSeries, m: int, k: int) -> tuple:
+    """(factorial, power, normalized) k-th moments at index m of the class's
+    own perimeter convention."""
+    facts = factorial_moments_from_series(series, _half_perimeter(class_id, m), k)
+    power = power_moments(facts)[k]
+    rational, root = class_normalizer(class_id, m, k)
+    return facts[k], power, SqrtScaled(power * rational, root)
+
+
 def normalized_moment(class_id: str, m: int, k: int,
                       series: XSeries | None = None) -> SqrtScaled:
     """E[X_m^k] divided by the class scaling; m is counted in the class's own
     perimeter convention (half- or quarter-perimeter)."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    half_m = _half_perimeter(class_id, m)
     if series is None:
+        half_m = _half_perimeter(class_id, m)
         series = solve_series(class_id, max(half_m, 2), jet_ring(k))
-    facts = factorial_moments_from_series(series, half_m, k)
-    power = power_moments(facts)[k]
-    rational, root = class_normalizer(class_id, m, k)
-    return SqrtScaled(power * rational, root)
+    return _moments_at(class_id, series, m, k)[2]
 
 
 @dataclass(frozen=True)
@@ -158,7 +163,7 @@ class MomentReport:
         return [(row.m, row.normalized.approx(digits)) for row in self.rows]
 
 
-def convergence_report(class_id: str, k: int, m_list, digits_bits: int = DEVIATION_BITS,
+def convergence_report(class_id: str, k: int, m_list,
                        jet_order: int | None = None) -> MomentReport:
     """Normalized k-th moments at the given indices with deviations from the
     limit moment; m_list must be strictly increasing.  jet_order (default k)
@@ -175,13 +180,9 @@ def convergence_report(class_id: str, k: int, m_list, digits_bits: int = DEVIATI
     series = solve_series(class_id, max(max_half, 2), jet_ring(jet_order))
     rows = []
     for m in m_list:
-        half_m = _half_perimeter(class_id, m)
-        facts = factorial_moments_from_series(series, half_m, k)
-        power = power_moments(facts)[k]
-        rational, root = class_normalizer(class_id, m, k)
-        normalized = SqrtScaled(power * rational, root)
-        rows.append(MomentRow(m, facts[k], power, normalized, limit,
-                              relative_deviation(normalized, limit, digits_bits)))
+        factorial, power, normalized = _moments_at(class_id, series, m, k)
+        rows.append(MomentRow(m, factorial, power, normalized, limit,
+                              relative_deviation(normalized, limit)))
     return MomentReport(class_id, k, tuple(rows))
 
 

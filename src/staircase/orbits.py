@@ -63,11 +63,22 @@ def subgroup_elements(subgroup_id: str) -> tuple:
         raise ValueError(f"unknown subgroup: {subgroup_id!r}") from None
 
 
-def _fixed_sum(elements, order: int, ring) -> XSeries:
-    total = solve_series(fix_map(elements[0]), order, ring)
-    for g in elements[1:]:
-        total = total + solve_series(fix_map(g), order, ring)
-    return total
+def _burnside_sum(elements, saturated: bool, order: int, ring) -> XSeries:
+    """Sum over the elements of their fixed-class series; over the saturation
+    each element counts its fixed class twice and its fixed rectangles once
+    negatively.  Each class series is added once, times its multiplicity
+    (for d4 the rect and square multiplicities cancel to 0)."""
+    weights: dict = {}
+    for g in elements:
+        cls = fix_map(g)
+        weights[cls] = weights.get(cls, 0) + (2 if saturated else 1)
+        if saturated:
+            weights[_RECT_FIX[g]] = weights.get(_RECT_FIX[g], 0) - 1
+    terms = [(w, solve_series(cls, order, ring).coeffs)
+             for cls, w in weights.items() if w]
+    coeffs = [sum((series[m] * w for w, series in terms), ring.zero)
+              for m in range(order + 1)]
+    return XSeries(ring, order, coeffs)
 
 
 def _divided(series: XSeries, size: int, subgroup_id: str) -> XSeries:
@@ -93,11 +104,8 @@ def orbit_series(subgroup_id: str, order: int, ring) -> XSeries:
     to x**order: coefficient of x^m q^n counts polygons of half-perimeter m
     and area n with symmetric copies identified."""
     elements = subgroup_elements(subgroup_id)
-    total = _fixed_sum(elements, order, ring)
-    if not all(g in FAMILY_PRESERVING for g in elements):
-        total = total + total
-        for g in elements:
-            total = total - solve_series(_RECT_FIX[g], order, ring)
+    saturated = not FAMILY_PRESERVING.issuperset(elements)
+    total = _burnside_sum(elements, saturated, order, ring)
     return _divided(total, len(elements), subgroup_id)
 
 
@@ -109,7 +117,7 @@ def burnside_average(subgroup_id: str, order: int, ring) -> XSeries:
     if ring.key == "exact":
         raise ValueError("the Burnside average needs a jet-mode ring")
     elements = subgroup_elements(subgroup_id)
-    total = _fixed_sum(elements, order, ring)
+    total = _burnside_sum(elements, False, order, ring)
     scale = Fraction(1, len(elements))
     return XSeries(ring, order, [c * scale for c in total.coeffs])
 
@@ -118,14 +126,10 @@ def fixed_point_counts(subgroup_id: str, order: int) -> tuple:
     """Per half-perimeter at q = 1: (total polygon counts, counts fixed by
     some nontrivial element of the subgroup, summed with multiplicity)."""
     ring = jet_ring(0)
-    p = [int(v) for v in solve_series("full", order, ring).values_at_q1()]
-    r = [0] * (order + 1)
-    for g in subgroup_elements(subgroup_id):
-        if g == "e":
-            continue
-        vals = solve_series(fix_map(g), order, ring).values_at_q1()
-        r = [a + int(b) for a, b in zip(r, vals)]
-    return p, r
+    nontrivial = [g for g in subgroup_elements(subgroup_id) if g != "e"]
+    p = solve_series("full", order, ring).values_at_q1()
+    r = _burnside_sum(nontrivial, False, order, ring).values_at_q1()
+    return [int(v) for v in p], [int(v) for v in r]
 
 
 def subexp_ratio_table(subgroup_id: str, alpha, m_values) -> list:

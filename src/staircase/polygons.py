@@ -209,50 +209,10 @@ def _columns_from_walks(lo, up):
 # symmetry actions
 # ---------------------------------------------------------------------------
 
-def _transpose(cols):
-    width = len(cols)
-    height = cols[-1][1]
-    out = []
-    s = 0
-    e = 0
-    for y in range(height):
-        while cols[s][1] <= y:
-            s += 1
-        while e + 1 < width and cols[e + 1][0] <= y:
-            e += 1
-        out.append((s, e + 1))
-    return tuple(out)
-
-
-def transform_columns(g: str, cols) -> tuple:
-    """Column tuple of the g-image of a staircase polygon, back in canonical
-    position.  The result need not be a staircase polygon again (a quarter
-    turn of a bend is not), but it is always a valid column tuple."""
-    cols = tuple(cols)
-    if g == "e":
-        return cols
-    height = cols[-1][1]
-    if g == "v":
-        return cols[::-1]
-    if g == "h":
-        return tuple((height - t, height - b) for b, t in cols)
-    if g == "r2":
-        return tuple((height - t, height - b) for b, t in cols[::-1])
-    tp = _transpose(cols)
-    if g == "d1":
-        return tp
-    tp_height = tp[-1][1]
-    if g == "r":
-        return tp[::-1]
-    if g == "r3":
-        return tuple((tp_height - t, tp_height - b) for b, t in tp)
-    if g == "d2":
-        return tuple((tp_height - t, tp_height - b) for b, t in tp[::-1])
-    raise KeyError(g)
-
-
 def transform_cells(g: str, cells) -> frozenset:
-    """Reference action on raw cell sets (unit square [i,i+1] x [j,j+1])."""
+    """The g-image of a cell set (unit squares [i,i+1] x [j,j+1]), translated
+    back to canonical position.  The image of a staircase polygon need not be
+    one again (a quarter turn of a bend is not)."""
     a, b, c, d = _MATS[g]
     out = set()
     for i, j in cells:
@@ -266,7 +226,8 @@ def transform_cells(g: str, cells) -> frozenset:
 def is_fixed(g: str, polygon: Polygon) -> bool:
     """Whether the g-image of the polygon, translated back to canonical
     position, has the same edge set (equivalently, cell set)."""
-    return transform_columns(g, polygon.columns) == polygon.columns
+    cells = polygon.cells()
+    return transform_cells(g, cells) == cells
 
 
 def symmetry_signature(polygon: Polygon) -> frozenset:

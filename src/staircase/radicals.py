@@ -16,8 +16,6 @@ from fractions import Fraction
 # Binary guard precision carried beyond any requested decimal precision.
 GUARD_BITS = 48
 
-Rational = Fraction
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -63,9 +61,6 @@ class RadicalConstant:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return RadicalConstant(-self.r, self.a, self.b)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RadicalConstant(_as_fraction(other))
@@ -81,29 +76,10 @@ class RadicalConstant:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RadicalConstant(_as_fraction(other))
-        return self + (-other)
-
     def inverse(self) -> "RadicalConstant":
         if self.r == 0:
             raise ZeroDivisionError("inverse of zero radical constant")
         return RadicalConstant(1 / self.r, -self.a, -self.b)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RadicalConstant(self.r / other, self.a, self.b)
-        if isinstance(other, RadicalConstant):
-            return self * other.inverse()
-        return NotImplemented
-
-    def __bool__(self):
-        return self.r != 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     # -- rendering ----------------------------------------------------------
 
@@ -125,12 +101,6 @@ class RadicalConstant:
 
     def __str__(self):
         return self.exact_str()
-
-
-RAD_ZERO = RadicalConstant(Fraction(0))
-RAD_ONE = RadicalConstant(Fraction(1))
-SQRT_PI = RadicalConstant(Fraction(1), 0, 1)
-SQRT_2 = RadicalConstant(Fraction(1), 1, 0)
 
 
 def gamma_half_integer(twice_arg: int) -> RadicalConstant:
@@ -231,42 +201,9 @@ def fixed_scaled(r: Fraction, sqrt2_exp: int, sqrtpi_exp: int, bits: int,
     return sign * (acc >> GUARD_BITS)
 
 
-def _decimal_from_positive_fixed(acc: int, bits: int, digits: int) -> str:
-    # Decimal exponent of the leading significant digit.
-    ipart = acc >> bits
-    if ipart:
-        e10 = len(str(ipart)) - 1
-    else:
-        e10 = -1
-        t = acc * 10
-        while (t >> bits) == 0:
-            t *= 10
-            e10 -= 1
-    shift = digits - 1 - e10
-    denom = 1 << bits
-    if shift >= 0:
-        num = acc * 10**shift
-    else:
-        num = acc
-        denom *= 10 ** (-shift)
-    q, rem = divmod(num, denom)
-    if 2 * rem >= denom:
-        q += 1
-    digs = str(q)
-    if len(digs) > digits:
-        # rounding carried into a new leading digit, e.g. 999.96 -> 1000
-        e10 += 1
-        digs = digs[:digits]
-    if e10 >= 0:
-        if e10 + 1 >= len(digs):
-            return digs + "0" * (e10 + 1 - len(digs))
-        return digs[: e10 + 1] + "." + digs[e10 + 1:]
-    return "0." + "0" * (-e10 - 1) + digs
-
-
 def _decimal_from_fraction(value: Fraction, digits: int) -> str:
-    # Exact correctly-rounded rendering for pure rationals (ties round away
-    # from zero, computed without any fixed-point truncation).
+    # Correctly rounded rendering of an exact rational, ties away from zero;
+    # fixed-point approximations are rendered as Fraction(acc, 2**bits).
     if value == 0:
         return "0"
     sign = "-" if value < 0 else ""
@@ -313,5 +250,4 @@ def approx_scaled(r: Fraction, sqrt2_exp: int, sqrtpi_exp: int, digits: int,
         return _decimal_from_fraction(r * Fraction(2) ** (sqrt2_exp // 2), digits)
     bits = int(digits * 3.33) + GUARD_BITS
     acc = fixed_scaled(r, sqrt2_exp, sqrtpi_exp, bits, extra_root)
-    sign = "-" if acc < 0 else ""
-    return sign + _decimal_from_positive_fixed(abs(acc), bits, digits)
+    return _decimal_from_fraction(Fraction(acc, 1 << bits), digits)

@@ -22,11 +22,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-try:  # GMP-backed integers cut the large-order solves by several x
-    from gmpy2 import mpz as _fastint
-except ImportError:  # pragma: no cover - plain ints are fully supported
-    _fastint = int
-
 
 def _binomial(n: int, j: int) -> int:
     """Generalized binomial C(n, j) for integer n of any sign, j >= 0."""
@@ -172,8 +167,6 @@ class LaurentQPoly:
             if self.w == other.w and self.lo == other.lo:
                 return self.v == other.v
             return self.c == other.c
-        if isinstance(other, int):
-            return self.c == ({} if other == 0 else {0: other})
         return NotImplemented
 
     def __hash__(self):
@@ -318,8 +311,6 @@ class DeltaJet:
         if isinstance(other, DeltaJet):
             return len(self.c) == len(other.c) and all(
                 x == y for x, y in zip(self.c, other.c))
-        if isinstance(other, (int, Fraction)):
-            return self.c[0] == other and not any(self.c[1:])
         return NotImplemented
 
     def __hash__(self):
@@ -510,9 +501,8 @@ class JetRing:
             raise ValueError("jet order must be >= 0")
         self.jet_order = jet_order
         self.key = ("jet", jet_order)
-        zero = _fastint(0)
-        self.zero = DeltaJet((zero,) * (jet_order + 1))
-        self.one = DeltaJet((_fastint(1),) + (zero,) * jet_order)
+        self.zero = DeltaJet((0,) * (jet_order + 1))
+        self.one = DeltaJet((1,) + (0,) * jet_order)
         self._powers: dict[int, tuple] = {}
         # q -> q**2 sends delta to 2*delta + delta**2; row i of the matrix
         # expands (2*delta + delta**2)**i truncated at the jet order.
@@ -520,7 +510,7 @@ class JetRing:
         for i in range(jet_order + 1):
             row = []
             for j in range(i, min(2 * i, jet_order) + 1):
-                row.append((j, _fastint(math.comb(i, j - i) * 2 ** (2 * i - j))))
+                row.append((j, math.comb(i, j - i) * 2 ** (2 * i - j)))
             self._square_rows.append(tuple(row))
 
     def __reduce__(self):
@@ -534,7 +524,7 @@ class JetRing:
         if isinstance(value, int):
             if value == 0:
                 return self.zero
-            return DeltaJet((_fastint(value),) + self.zero.c[1:])
+            return DeltaJet((value,) + self.zero.c[1:])
         if isinstance(value, Fraction):
             if value == 0:
                 return self.zero
@@ -547,7 +537,7 @@ class JetRing:
     def _power(self, n: int) -> tuple:
         p = self._powers.get(n)
         if p is None:
-            p = tuple(_fastint(_binomial(n, j)) for j in range(self.jet_order + 1))
+            p = jet_q_power(n, self.jet_order).c
             self._powers[n] = p
         return p
 
@@ -609,11 +599,6 @@ def jet_ring(jet_order: int) -> JetRing:
         ring = JetRing(jet_order)
         _JET_RINGS[jet_order] = ring
     return ring
-
-
-def rational_ring() -> JetRing:
-    """The q = 1 specialization: jets of order zero."""
-    return jet_ring(0)
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,6 @@ class Surd:
             return NotImplemented
         return (self.p, self.q, self.d, self.r) == (other.p, other.q, other.d, other.r)
 
-    def __hash__(self):
-        return hash((self.p, self.q, self.d, self.r))
-
     def _radicand(self, other: "Surd"):
         if self.r is None or other.r is None or self.r == other.r:
             return self.r if self.r is not None else other.r

@@ -42,7 +42,37 @@ def brute_orbit_counts(subgroup_id, max_m):
     return {key: len(r) for key, r in reps.items()}
 
 
+# The rectangles (both staircase orientations at once) fixed by each element.
+RECT_FIXED_BY = {"e": "rect", "r2": "rect", "h": "rect", "v": "rect",
+                 "r": "square", "r3": "square", "d1": "square", "d2": "square"}
+
+
+def per_element_burnside(subgroup_id, order, ring):
+    """Size of the subgroup times its orbit series, one element at a time:
+    the sum of the fixed-class series, doubled and less each element's fixed
+    rectangles when the subgroup leaves the staircase family."""
+    members = SUBGROUPS[subgroup_id]
+    total = solve_series(fix_map(members[0]), order, ring)
+    for g in members[1:]:
+        total = total + solve_series(fix_map(g), order, ring)
+    if not set(members) <= {"e", "r2", "d1", "d2"}:
+        total = total + total
+        for g in members:
+            total = total - solve_series(RECT_FIXED_BY[g], order, ring)
+    return total
+
+
 class TestOrbitSeries:
+    @pytest.mark.parametrize("ring", [exact_ring(), jet_ring(2)], ids=["exact", "jet2"])
+    @pytest.mark.parametrize("subgroup", SUBGROUP_IDS)
+    def test_matches_per_element_burnside_at_24(self, subgroup, ring):
+        series = orbit_series(subgroup, 24, ring)
+        total = per_element_burnside(subgroup, 24, ring)
+        size = len(SUBGROUPS[subgroup])
+        assert series.order == 24
+        for m in range(25):
+            assert series.coeffs[m] * size == total.coeffs[m], (subgroup, m)
+
     def test_trivial_subgroup_is_full_class(self):
         assert orbit_series("e", 14, exact_ring()) == solve_series("full", 14, exact_ring())
 

@@ -12,7 +12,6 @@ from staircase.polygons import (
     is_fixed,
     symmetry_signature,
     transform_cells,
-    transform_columns,
 )
 
 UNIT_SQUARE = Polygon.from_columns([(0, 1)])
@@ -112,16 +111,6 @@ class TestGroupStructure:
 
 
 class TestTransforms:
-    def test_columns_match_cell_action(self):
-        # the fast column-tuple action agrees with the raw cell-set action
-        for p in enumerate_polygons(8):
-            base = p.cells()
-            for g in ELEMENTS:
-                via_cols = frozenset(
-                    (i, y) for i, (b, t) in enumerate(transform_columns(g, p.columns))
-                    for y in range(b, t))
-                assert via_cols == transform_cells(g, base), (g, p)
-
     def test_action_respects_composition(self):
         for p in (UNIT_SQUARE, BEND, DOUBLE_BEND, RECT_1x3):
             base = p.cells()

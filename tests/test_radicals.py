@@ -100,6 +100,18 @@ class TestApprox:
         # sqrt(2) * sqrt(8) = 4 exactly
         assert approx_scaled(F(1), 1, 0, 6, extra_root=8) == "4.00000"
 
+    def test_fixed_point_below_one(self):
+        assert approx_scaled(F(1, 1000), 1, 0, 6) == "0.00141421"
+        assert approx_scaled(F(-1, 1000), 1, 0, 6) == "-0.00141421"
+
+    def test_fixed_point_rounding_carries_into_a_new_digit(self):
+        # 7.071067 * sqrt(2) = 9.99999...
+        assert approx_scaled(F(7071067, 10**6), 1, 0, 3) == "10.0"
+
+    def test_fixed_point_fewer_digits_than_integer_digits(self):
+        assert approx_scaled(F(123456), 1, 0, 3) == "175000"
+        assert approx_scaled(F(123456), 0, 1, 4) == "218800"
+
     def test_digits_validated(self):
         with pytest.raises(ValueError):
             rad(1).approx(0)

@@ -12,8 +12,8 @@ from staircase.series import (
     exact_ring,
     jet_q_power,
     jet_ring,
-    rational_ring,
 )
+from staircase.surds import Surd
 
 
 def xp(ring, order, terms):
@@ -81,6 +81,29 @@ class TestDeltaJet:
             DeltaJet((0, 1)).recip()
 
 
+def _hashes(value):
+    try:
+        return hash(value)
+    except TypeError:  # unhashable values cannot collide in a set
+        return None
+
+
+class TestEqualityAndHash:
+    def test_equal_values_hash_equal(self):
+        values = [
+            3, 0, F(3), LaurentQPoly.term(3), LaurentQPoly({0: 3}),
+            LaurentQPoly.term(3, 1), LaurentQPoly.term(0), LaurentQPoly({}),
+            exact_ring().one * 3, DeltaJet((3, 0)), DeltaJet((F(3), 0)),
+            DeltaJet((0, 0)), DeltaJet((3,)), Surd.lift(3), Surd.lift(0),
+        ]
+        for a in values:
+            for b in values:
+                if a == b:
+                    ha, hb = _hashes(a), _hashes(b)
+                    if ha is not None and hb is not None:
+                        assert ha == hb, (a, b)
+
+
 class TestJetQPower:
     def test_square(self):
         assert jet_q_power(2, 2) == DeltaJet((1, 2, 1))
@@ -93,7 +116,7 @@ class TestJetQPower:
 
 
 class TestXSeriesOps:
-    @pytest.mark.parametrize("ring", [exact_ring(), jet_ring(2), rational_ring()])
+    @pytest.mark.parametrize("ring", [exact_ring(), jet_ring(2), jet_ring(0)])
     def test_difference_of_squares(self, ring):
         a = xp(ring, 2, {0: 1, 1: 1})
         b = xp(ring, 2, {0: 1, 1: -1})
@@ -129,7 +152,7 @@ class TestXSeriesOps:
         assert run(_Mul(a, _Recip(a)), 5) == xp(ring, 5, {0: 1})
 
     def test_truncation_is_min_of_orders(self):
-        ring = rational_ring()
+        ring = jet_ring(0)
         a = xp(ring, 5, {0: 1, 5: 3})
         b = xp(ring, 3, {1: 1})
         product = _Mul(_Const(a), _Const(b))
@@ -138,12 +161,12 @@ class TestXSeriesOps:
             product.coeff(4)
 
     def test_coeff_beyond_order_rejected(self):
-        ring = rational_ring()
+        ring = jet_ring(0)
         with pytest.raises(ValueError, match="beyond truncation"):
             xp(ring, 3, {0: 1}).coeff(4)
 
     def test_series_immutable(self):
-        s = xp(rational_ring(), 3, {0: 1})
+        s = xp(jet_ring(0), 3, {0: 1})
         with pytest.raises(AttributeError):
             s.order = 5
         with pytest.raises(TypeError):
