@@ -11,7 +11,6 @@ from .series import (
     jet_ring,
 )
 from .polygons import (
-    CLASSES,
     CountTable,
     Polygon,
     enumerate_counts,
@@ -30,7 +29,6 @@ from .feq import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLASSES",
     "CLASS_IDS",
     "CountTable",
     "DeltaJet",

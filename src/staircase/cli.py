@@ -67,17 +67,16 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _write_csv(path, header, rows):
-    """Write atomically (temp file + rename) so reruns are all-or-nothing."""
-    if path is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
+    """To stdout, or atomically (temp file + rename) so reruns are
+    all-or-nothing."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _replace_file(path, buf.getvalue())
+    if path is None:
+        sys.stdout.write(buf.getvalue())
+    else:
+        _replace_file(path, buf.getvalue())
 
 
 def _write_plot(path, rows):
@@ -184,14 +183,18 @@ def cmd_series(args) -> int:
     return 0
 
 
-def cmd_moments(args) -> int:
+def _moment_reports(args) -> tuple:
+    """The convergence reports for each --k order, all read off one solve at
+    the largest order, and their CSV rows."""
     ks = _parse_int_list(args.k)
     ms = _parse_int_list(args.m)
-    rows = []
-    for k in ks:
-        report = moments.convergence_report(args.class_id, k, ms, jet_order=max(ks))
-        rows.extend(report.csv_rows(args.digits))
-    _write_csv(args.out, MOMENT_HEADER, rows)
+    reports = [moments.convergence_report(args.class_id, k, ms, jet_order=max(ks))
+               for k in ks]
+    return reports, [row for report in reports for row in report.csv_rows(args.digits)]
+
+
+def cmd_moments(args) -> int:
+    _write_csv(args.out, MOMENT_HEADER, _moment_reports(args)[1])
     return 0
 
 
@@ -234,20 +237,14 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ks = _parse_int_list(args.k)
-    ms = _parse_int_list(args.m)
-    rows = []
-    for k in ks:
-        report = moments.convergence_report(args.class_id, k, ms, jet_order=max(ks))
-        rows.extend(report.csv_rows(args.digits))
-        _write_plot(f"{args.out}_{args.class_id}_k{k}.dat", report.plot_rows(args.digits))
+    reports, rows = _moment_reports(args)
+    for report in reports:
+        _write_plot(f"{args.out}_{args.class_id}_k{report.k}.dat", report.plot_rows(args.digits))
     _write_csv(f"{args.out}.csv", MOMENT_HEADER, rows)
     return 0
 
 
 def _selftest_checks(max_m: int):
-    from fractions import Fraction as F
-
     def oracle_equivalence():
         table = polygons.enumerate_counts(max_m)
         ring = exact_ring()
@@ -278,7 +275,7 @@ def _selftest_checks(max_m: int):
 
     def balance_identities():
         for k in range(13):
-            if laws.singular_coeff_full(k) != F(1, 2 ** (2 * k + 1)) * laws.airy_coeff(k):
+            if laws.singular_coeff_full(k) != Fraction(1, 2 ** (2 * k + 1)) * laws.airy_coeff(k):
                 return f"full-class singular coefficient mismatch at k={k}"
             expected = laws.meander_coeff(k)
             got = laws.singular_coeff_r2(k)
@@ -287,11 +284,11 @@ def _selftest_checks(max_m: int):
         # the same numbers, read off the solved series at their singularities
         full, r2 = feq.closed_form("full", 4), feq.closed_form("r2", 4)
         for k in range(1, 5):
-            got = full.singular_coefficient(k, F(1, 4), F(1 - 3 * k, 2))
+            got = full.singular_coefficient(k, Fraction(1, 4), Fraction(1 - 3 * k, 2))
             if got != RadicalConstant(laws.singular_coeff_full(k)):
                 return f"full-class series singular coefficient differs from the law at k={k}"
         for k in range(5):
-            got = r2.singular_coefficient(k, F(1, 2), F(-1 - 3 * k, 2))
+            got = r2.singular_coefficient(k, Fraction(1, 2), Fraction(-1 - 3 * k, 2))
             if got != laws.singular_coeff_r2(k):
                 return f"r2 series singular coefficient differs from the law at k={k}"
         return None
@@ -319,7 +316,7 @@ def _selftest_checks(max_m: int):
     def rect_mean():
         for m in (6, 50, 400):
             value = moments.normalized_moment("rect", m, 1)
-            if not value.is_rational or value.rational != F(2, 3) + F(2, 3 * m):
+            if not value.is_rational or value.rational != Fraction(2, 3) + Fraction(2, 3 * m):
                 return f"rectangle normalized mean wrong at m={m}"
         return None
 

@@ -33,6 +33,8 @@ from .series import ExactRing, XSeries, exact_ring, slot_width
 
 CLASS_IDS = ("full", "r2", "d1", "d2", "d1d2", "rect", "square")
 
+GAIN = 2  # x-orders every right-hand side gains over its input
+
 
 def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
@@ -45,7 +47,7 @@ def catalan(k: int) -> int:
 class _Node:
     """Lazy power series in x: memoized coefficients, known valuation bound
     and degree lattice stride (nonzero coefficients only at
-    val + stride * j)."""
+    val + stride * j; the memo holds the ring's zero everywhere else)."""
 
     __slots__ = ("ring", "memo", "val", "stride")
 
@@ -125,7 +127,7 @@ class _Lin(_Node):
         acc = self.poly.get(n, self.ring.zero)
         for node, sign in self.terms:
             v = node.coeff(n)
-            if not self.ring.is_zero(v):
+            if v:
                 acc = acc + v if sign > 0 else acc - v
         return acc
 
@@ -145,35 +147,32 @@ class _Mul(_Node):
         b.coeff(hi_b)
         a.coeff(n - b.val)
         acc = ring.acc_new()
-        ring.conv_into(acc, a.memo, b.memo, n, b.val, hi_b, b.stride,
-                       a.val, a.stride)
+        ring.conv_into(acc, a.memo, b.memo, n, b.val, hi_b, b.stride)
         return ring.acc_close(acc)
 
 
 class _Recip(_Node):
     """1 / child; the child's constant term must be invertible."""
 
-    __slots__ = ("a", "inv0", "neg_inv0")
+    __slots__ = ("a", "neg_inv0")
 
     def __init__(self, a: _Node):
         if a.val > 0:
             raise ValueError("series not invertible")
         super().__init__(a.ring, 0, a.stride)
         self.a = a
-        self.inv0 = None
         self.neg_inv0 = None
 
     def _advance(self, n: int):
         ring = self.ring
         if n == 0:
-            self.inv0 = ring.invert_unit(self.a.coeff(0))
-            self.neg_inv0 = -self.inv0
-            return self.inv0
+            inv0 = ring.invert_unit(self.a.coeff(0))
+            self.neg_inv0 = -inv0
+            return inv0
         a = self.a
         a.coeff(n)
         acc = ring.acc_new()
-        start = a.stride if a.val == 0 else a.val
-        ring.conv_into(acc, self.memo, a.memo, n, start, n, a.stride)
+        ring.conv_into(acc, self.memo, a.memo, n, a.stride, n, a.stride)
         return self.neg_inv0 * ring.acc_close(acc)
 
 
@@ -243,13 +242,12 @@ def _merge_lattices(points):
 @dataclass(frozen=True)
 class ClassEquation:
     """One symmetry class: which solved classes its equation references, the
-    degree lattice of its series, and the x-adic gain of one right-hand-side
-    application (every equation gains two orders)."""
+    degree lattice of its series, and the builder of its right-hand side
+    (each gains GAIN x-orders over its input)."""
 
     class_id: str
     deps: tuple
     stride: int
-    gain: int
     build: callable
 
 
@@ -297,13 +295,13 @@ def _build_square(u, deps, ring):
 
 
 CLASS_EQUATIONS = {
-    "full": ClassEquation("full", (), 1, 2, _build_full),
-    "r2": ClassEquation("r2", ("full",), 1, 2, _build_r2),
-    "d1": ClassEquation("d1", (), 2, 2, _build_d1),
-    "d2": ClassEquation("d2", ("full",), 2, 2, _build_d2),
-    "d1d2": ClassEquation("d1d2", ("d1",), 2, 2, _build_d1d2),
-    "rect": ClassEquation("rect", (), 1, 2, _build_rect),
-    "square": ClassEquation("square", (), 2, 2, _build_square),
+    "full": ClassEquation("full", (), 1, _build_full),
+    "r2": ClassEquation("r2", ("full",), 1, _build_r2),
+    "d1": ClassEquation("d1", (), 2, _build_d1),
+    "d2": ClassEquation("d2", ("full",), 2, _build_d2),
+    "d1d2": ClassEquation("d1d2", ("d1",), 2, _build_d1d2),
+    "rect": ClassEquation("rect", (), 1, _build_rect),
+    "square": ClassEquation("square", (), 2, _build_square),
 }
 
 

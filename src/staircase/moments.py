@@ -169,6 +169,8 @@ def convergence_report(class_id: str, k: int, m_list,
     limit moment; m_list must be strictly increasing.  jet_order (default k)
     lets several reports share one solved series."""
     m_list = list(m_list)
+    if not m_list:
+        raise ValueError("need at least one perimeter index")
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError("perimeter indices must be strictly increasing")
     if jet_order is None:

@@ -117,9 +117,7 @@ def burnside_average(subgroup_id: str, order: int, ring) -> XSeries:
     if ring.key == "exact":
         raise ValueError("the Burnside average needs a jet-mode ring")
     elements = subgroup_elements(subgroup_id)
-    total = _burnside_sum(elements, False, order, ring)
-    scale = Fraction(1, len(elements))
-    return XSeries(ring, order, [c * scale for c in total.coeffs])
+    return _divided(_burnside_sum(elements, False, order, ring), len(elements), subgroup_id)
 
 
 def fixed_point_counts(subgroup_id: str, order: int) -> tuple:

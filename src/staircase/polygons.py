@@ -11,8 +11,9 @@ count table serves as ground truth for the series solvers.
 
 Polygons are stored as column tuples: entry i is the half-open cell interval
 (bottom, top) of abscissa i.  Point symmetries of the square lattice act on
-the enclosed cell set; a polygon belongs to a symmetry class when every
-generator of the class's group fixes it up to translation.
+the enclosed cell set.  Class membership is decided by ``enumerate_counts``'
+tally, which tests each class's symmetries on the columns, and by
+``is_fixed``, which tests one element on the cells up to translation.
 """
 
 from __future__ import annotations
@@ -75,19 +76,6 @@ SUBGROUPS = {
 }
 
 _STABILIZERS = {frozenset(members) for members in SUBGROUPS.values()}
-
-CLASSES = ("full", "r2", "d1", "d2", "d1d2", "rect", "square")
-
-# Generators whose fixing defines membership in each symmetry class.
-CLASS_GENERATORS = {
-    "full": (),
-    "r2": ("r2",),
-    "d1": ("d1",),
-    "d2": ("d2",),
-    "d1d2": ("d1", "d2"),
-    "rect": ("h",),
-    "square": ("r",),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ class CountTable:
 
 def enumerate_counts(max_half_perimeter: int) -> CountTable:
     """Count every staircase polygon with half-perimeter up to the bound,
-    classified by which symmetry-class generators fix it.
+    classified by which of the class symmetries (r2, d1, d2, h, r) fix it.
 
     Every prefix of a staircase polygon's columns is a staircase polygon, so
     a depth-first search that appends one column at a time visits each

@@ -10,9 +10,9 @@ Two coefficient rings back the same series type:
   j!, which is exactly the data needed for factorial moments of order <= K.
 
 ``XSeries`` is a truncated power series in x whose coefficients live in one
-of these rings.  Products, reciprocals and the substitutions x -> x*q and
-(x, q) -> (x**2, q**2) of whole series are the lazy nodes in ``feq``; each
-ring adapter gives them one convolution kernel, ``conv_into``.  Jet-ring
+of these rings.  Sums, products, reciprocals and the substitutions x -> x*q
+and (x, q) -> (x**2, q**2) of whole series are the lazy nodes in ``feq``;
+each ring adapter gives them one convolution kernel, ``conv_into``.  Jet-ring
 class series are solved in closed form (``staircase.slots``) instead, so the
 jet kernel runs only when the lazy interpreter is used as their oracle.
 """
@@ -432,9 +432,6 @@ class ExactRing:
             raise TypeError(f"cannot coerce {type(value).__name__} into the exact ring")
         return self.fit(value) if value.norm < self.limit else value
 
-    def is_zero(self, c) -> bool:
-        return not c.v
-
     def q_shift(self, c, n: int):
         return c.q_shift(n) if c.v else c
 
@@ -458,17 +455,14 @@ class ExactRing:
         v, lo, norm = acc
         return _poly(v, lo, self.width, norm) if v else self.zero
 
-    def conv_into(self, acc, A, B, n, j_lo, j_hi, j_stride, i_val=0, i_stride=1):
+    def conv_into(self, acc, A, B, n, j_lo, j_hi, j_stride):
         """acc += sum of A[n-j] * B[j] over j in range(j_lo, j_hi+1, j_stride),
-        skipping indices off the A lattice.  Each pair is one integer
-        product."""
+        skipping zero operands, which include every index off a lazy node's
+        degree lattice.  Each pair is one integer product."""
         w = self.width
         v, lo, norm = acc
         for j in range(j_lo, j_hi + 1, j_stride):
-            i = n - j
-            if i_stride > 1 and (i - i_val) % i_stride:
-                continue
-            a = A[i]
+            a = A[n - j]
             if not a.v:
                 continue
             b = B[j]
@@ -521,18 +515,11 @@ class JetRing:
             if value.order != self.jet_order:
                 raise ValueError("jet orders differ")
             return value
-        if isinstance(value, int):
-            if value == 0:
-                return self.zero
-            return DeltaJet((value,) + self.zero.c[1:])
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
             if value == 0:
                 return self.zero
             return DeltaJet((value,) + self.zero.c[1:])
         raise TypeError(f"cannot coerce {type(value).__name__} into the jet ring")
-
-    def is_zero(self, c) -> bool:
-        return not any(c.c)
 
     def _power(self, n: int) -> tuple:
         p = self._powers.get(n)
@@ -569,15 +556,11 @@ class JetRing:
     def acc_close(self, acc: list) -> DeltaJet:
         return DeltaJet(tuple(acc))
 
-    def conv_into(self, acc, A, B, n, j_lo, j_hi, j_stride, i_val=0, i_stride=1):
+    def conv_into(self, acc, A, B, n, j_lo, j_hi, j_stride):
         """acc += sum of A[n-j] * B[j] over j in range(j_lo, j_hi+1, j_stride),
-        skipping indices off the A lattice."""
-        check = i_stride > 1
+        skipping zero operands."""
         for j in range(j_lo, j_hi + 1, j_stride):
-            i = n - j
-            if check and (i - i_val) % i_stride:
-                continue
-            a = A[i].c
+            a = A[n - j].c
             if any(a):
                 b = B[j].c
                 if any(b):
@@ -632,38 +615,16 @@ class XSeries:
     def __reduce__(self):
         return XSeries, (self.ring, self.order, self.coeffs)
 
-    @classmethod
-    def from_terms(cls, ring, order: int, terms: dict) -> "XSeries":
-        """Build from {x_degree: coefficient-like}; ints are coerced."""
-        coeffs = [ring.zero] * (order + 1)
-        for deg, value in terms.items():
-            if 0 <= deg <= order:
-                coeffs[deg] = ring.coerce(value)
-        return cls(ring, order, coeffs)
-
     def coeff(self, n: int):
         if not 0 <= n <= self.order:
             raise ValueError(f"coefficient {n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def _match(self, other: "XSeries"):
-        if self.ring.key != other.ring.key:
-            raise ValueError("series over different coefficient rings")
-        return min(self.order, other.order)
 
     def __eq__(self, other):
         if not isinstance(other, XSeries):
             return NotImplemented
         return (self.ring.key == other.ring.key and self.order == other.order
                 and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __add__(self, other):
-        n = self._match(other)
-        return XSeries(self.ring, n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        n = self._match(other)
-        return XSeries(self.ring, n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def truncated(self, order: int) -> "XSeries":
         if order > self.order:

@@ -175,7 +175,7 @@ class TestFailedChecks:
             return feq._Lin(ring, {2: DeltaJet((1, 2))}, [])
 
         monkeypatch.setitem(feq.CLASS_EQUATIONS, "square",
-                            feq.ClassEquation("square", (), 2, 2, build))
+                            feq.ClassEquation("square", (), 2, build))
         feq.clear_cache()
         code, _, err = run(["series", "--class", "square", "--order", "4",
                             "--mode", "jet", "--jet", "1"], capsys)

@@ -108,11 +108,11 @@ class TestFixedPointIteration:
             while agree <= order and current.coeffs[agree] == solution.coeffs[agree]:
                 agree += 1
             agreements.append(agree)
-            if agree > order - CLASS_EQUATIONS[cls].gain:
+            if agree > order - feq.GAIN:
                 break
         assert agreements[0] >= 2
         for a, b in zip(agreements, agreements[1:]):
-            assert b >= a + CLASS_EQUATIONS[cls].gain or b > order - CLASS_EQUATIONS[cls].gain
+            assert b >= a + feq.GAIN or b > order - feq.GAIN
         # truncation pollutes at most the top two orders of the iteration
         assert agreements[-1] >= order - 1
 
@@ -306,11 +306,61 @@ class TestSlotInterpreter:
             return feq._MonoMul(feq._SubX2Q2(u), 2, 0)
 
         monkeypatch.setitem(CLASS_EQUATIONS, "square",
-                            feq.ClassEquation("square", (), 2, 2, build))
+                            feq.ClassEquation("square", (), 2, build))
         clear_cache()
         with pytest.raises(RuntimeError, match="substitution"):
             solve_series("square", 8, jet_ring(0))
         clear_cache()
+
+
+def _solved_tree(class_id, order, ring, deps):
+    """The right-hand side of the class's equation after the lazy
+    interpreter has filled the unknown to the order."""
+    unknown = _Unknown(ring, val=2, stride=CLASS_EQUATIONS[class_id].stride)
+    rhs = CLASS_EQUATIONS[class_id].build(unknown, deps, ring)
+    for n in range(order + 1):
+        unknown.fill(n, rhs.coeff(n))
+    return rhs
+
+
+def _tree_nodes(root):
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(getattr(node, name) for name in ("a", "b") if hasattr(node, name))
+            todo.extend(child for child, _ in getattr(node, "terms", ()))
+    return seen
+
+
+class TestLatticeZeros:
+    """The convolution kernels skip zero operands and test no lattice, so
+    every lazy node must hold zeros below its valuation and off its stride."""
+
+    @pytest.mark.parametrize("mode", ["exact", "jet2"])
+    @pytest.mark.parametrize("cls", CLASS_IDS)
+    def test_memos_are_zero_off_the_lattice(self, cls, mode):
+        dep_order = feq._prerequisite_order
+        if mode == "exact":
+            order = 40
+            ring = feq._solve_ring(cls, order)
+            deps = {dep: feq._into(ring, solve_series(dep, dep_order(order), exact_ring()))
+                    for dep in CLASS_EQUATIONS[cls].deps}
+        else:
+            order = 80
+            ring = jet_ring(2)
+            deps = {dep: lazy_series(dep, dep_order(order), ring)
+                    for dep in CLASS_EQUATIONS[cls].deps}
+        nodes = _tree_nodes(_solved_tree(cls, order, ring, deps))
+        off = 0
+        for node in nodes:
+            assert node.memo
+            for i, v in enumerate(node.memo):
+                if i < node.val or (i - node.val) % node.stride:
+                    assert not v, (type(node).__name__, i)
+                    off += 1
+        assert off > 0
 
 
 class TestPickling:

@@ -154,6 +154,10 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match="strictly increasing"):
             convergence_report("full", 1, [8, 8, 16])
 
+    def test_empty_index_list_rejected(self):
+        with pytest.raises(ValueError, match="need at least one perimeter index"):
+            convergence_report("full", 1, [])
+
     def test_shared_jet_order(self):
         a = convergence_report("full", 1, [4, 9, 25])
         b = convergence_report("full", 1, [4, 9, 25], jet_order=2)

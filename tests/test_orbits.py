@@ -13,7 +13,7 @@ from staircase.orbits import (
     subexp_ratio_table,
 )
 from staircase.polygons import SUBGROUPS, enumerate_polygons, transform_cells
-from staircase.series import exact_ring, jet_ring
+from staircase.series import XSeries, exact_ring, jet_ring
 
 
 class TestFixMap:
@@ -47,6 +47,12 @@ RECT_FIXED_BY = {"e": "rect", "r2": "rect", "h": "rect", "v": "rect",
                  "r": "square", "r3": "square", "d1": "square", "d2": "square"}
 
 
+def add(a, b, sign=1):
+    """Coefficient-wise a + sign * b of two series of one ring and order."""
+    return XSeries(a.ring, a.order, [x + y if sign > 0 else x - y
+                                     for x, y in zip(a.coeffs, b.coeffs)])
+
+
 def per_element_burnside(subgroup_id, order, ring):
     """Size of the subgroup times its orbit series, one element at a time:
     the sum of the fixed-class series, doubled and less each element's fixed
@@ -54,11 +60,11 @@ def per_element_burnside(subgroup_id, order, ring):
     members = SUBGROUPS[subgroup_id]
     total = solve_series(fix_map(members[0]), order, ring)
     for g in members[1:]:
-        total = total + solve_series(fix_map(g), order, ring)
+        total = add(total, solve_series(fix_map(g), order, ring))
     if not set(members) <= {"e", "r2", "d1", "d2"}:
-        total = total + total
+        total = add(total, total)
         for g in members:
-            total = total - solve_series(RECT_FIXED_BY[g], order, ring)
+            total = add(total, solve_series(RECT_FIXED_BY[g], order, ring), -1)
     return total
 
 
@@ -124,7 +130,7 @@ class TestBurnsideAverage:
         names = ("full", "r2", "square", "square", "d1", "d2", "rect", "rect")
         total = solve_series("full", 12, ring)
         for name in names[1:]:
-            total = total + solve_series(name, 12, ring)
+            total = add(total, solve_series(name, 12, ring))
         for m in range(13):
             assert avg.coeffs[m] == total.coeffs[m] * F(1, 8)
 

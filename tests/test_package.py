@@ -1,8 +1,10 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import staircase
+from staircase.series import ExactRing, JetRing
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -34,3 +36,27 @@ def test_every_traced_function_exists():
         if not found:
             missing.append((module_name, class_name, function))
     assert missing == []
+
+
+def _conv_args_source():
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_conv_args":
+            return node
+    raise AssertionError("bench/tracer.py defines no _conv_args")
+
+
+def test_tracer_maps_conv_into_arguments_by_the_kernel_signature():
+    # the tracer names conv_into's positional arguments by their place, so a
+    # reordered kernel signature would silently corrupt its counters
+    func = _conv_args_source()
+    names = next(ast.literal_eval(node.value) for node in ast.walk(func)
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "names")
+    read_with_default = {
+        node.args[0].value for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get" and getattr(node.func.value, "id", None) == "values"}
+    for kernel in (ExactRing.conv_into, JetRing.conv_into):
+        params = tuple(inspect.signature(kernel).parameters)
+        assert names[:len(params)] == params, kernel.__qualname__
+        assert set(names[len(params):]) <= read_with_default, kernel.__qualname__

@@ -1,7 +1,7 @@
 import pytest
 
+from staircase.feq import CLASS_IDS
 from staircase.polygons import (
-    CLASSES,
     ELEMENTS,
     SUBGROUPS,
     Polygon,
@@ -177,7 +177,7 @@ class TestEnumeration:
 
     def test_unit_square_in_every_class(self):
         table = enumerate_counts(4)
-        for cls in CLASSES:
+        for cls in CLASS_IDS:
             assert table.count(cls, 2, 1) == 1
 
     def test_half_perimeter_four_by_hand(self):
@@ -211,7 +211,7 @@ class TestEnumeration:
         # pairs: the two agree class by class
         table = enumerate_counts(10)
         recount = _recount(10)
-        for cls in CLASSES:
+        for cls in CLASS_IDS:
             assert ({k: v for k, v in recount.items() if k[0] == cls}
                     == {k: v for k, v in table.counts.items() if k[0] == cls}), cls
 
