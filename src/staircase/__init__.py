@@ -22,7 +22,6 @@ from .feq import (
     CLASS_IDS,
     catalan,
     closed_form_coefficient,
-    evaluate_rhs,
     solve_series,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "closed_form_coefficient",
     "enumerate_counts",
     "enumerate_polygons",
-    "evaluate_rhs",
     "exact_ring",
     "gamma_half_integer",
     "is_fixed",

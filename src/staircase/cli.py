@@ -43,15 +43,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int_list(text: str) -> list:
-    """Comma-separated integers; 'a:b' expands to the inclusive range."""
+    """Comma-separated integers; 'a:b' with a <= b expands to the inclusive
+    range."""
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
             continue
         if ":" in piece:
-            lo, hi = piece.split(":", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in piece.split(":", 1))
+            if hi < lo:
+                raise _UsageError(f"reversed range {piece!r} in {text!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(piece))
     if not out:
@@ -218,10 +221,7 @@ def cmd_orbits(args) -> int:
             raise _UsageError("--alpha needs --m with the table indices")
         alpha = _parse_fraction(args.alpha)
         ms = _parse_int_list(args.m)
-        try:
-            rows = orbits.ratio_rows(args.subgroup, alpha, ms, args.digits)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        rows = orbits.ratio_rows(args.subgroup, alpha, ms, args.digits)
         _write_csv(args.out, ("subgroup", "alpha", "m", "ratio_num", "ratio_den",
                               "ratio_decimal", "digits"), rows)
         return 0

@@ -19,9 +19,6 @@ the unknown, and two interpreters read it:
 * the slot interpreter (``staircase.slots``) solves jet rings in closed form:
   each slot of the expansion around q = 1 as an element of Q(x)[sqrt r],
   whose integer coefficients are read off to any order in linear time.
-
-``evaluate_rhs`` exposes one whole-series application of a right-hand side,
-which is what tests use to check productivity of the plain iteration.
 """
 
 from __future__ import annotations
@@ -89,22 +86,16 @@ class _Unknown(_Node):
 
 class _Const(_Node):
     """A fully known series: a solved XSeries for the lazy interpreter, a
-    ClosedForm for the slot interpreter.  With allow_overrun, coefficients
-    beyond the stored order read as zero (used by the whole-series
-    iteration oracle)."""
+    ClosedForm for the slot interpreter."""
 
-    __slots__ = ("series", "allow_overrun")
+    __slots__ = ("series",)
 
-    def __init__(self, series: XSeries, val: int = 0, stride: int = 1,
-                 allow_overrun: bool = False):
+    def __init__(self, series: XSeries, val: int = 0, stride: int = 1):
         super().__init__(series.ring, val, stride)
         self.series = series
-        self.allow_overrun = allow_overrun
 
     def _advance(self, n: int):
         if n > self.series.order:
-            if self.allow_overrun:
-                return self.ring.zero
             raise RuntimeError(
                 "prerequisite series solved to order %d but coefficient %d needed"
                 % (self.series.order, n))
@@ -199,8 +190,7 @@ class _SubX2Q2(_Node):
         self.a = a
 
     def _advance(self, n: int):
-        if n % 2:
-            return self.ring.zero
+        # the node's lattice holds even degrees only
         return self.ring.q_square(self.a.coeff(n // 2))
 
 
@@ -225,8 +215,6 @@ class _MonoMul(_Node):
 
 def _merge_lattices(points):
     """Combine (degree, stride) supports; stride 0 marks a single degree."""
-    if not points:
-        return 0, 1
     val = min(v for v, _ in points)
     g = 0
     for v, s in points:
@@ -441,28 +429,6 @@ def _build_closed_form(class_id: str, jet_order: int):
     return solve_slots(equation, deps, jet_order)
 
 
-def evaluate_rhs(class_id: str, candidate: XSeries, deps: dict | None = None) -> XSeries:
-    """One whole-series application of the class's right-hand side.
-
-    Iterating this from the zero series stabilizes ever longer prefixes; the
-    solver's output is the limit.  Coefficients within two orders of the
-    truncation are polluted by the cutoff and not meaningful.
-    """
-    equation = CLASS_EQUATIONS[class_id]
-    ring = out_ring = candidate.ring
-    if deps is None:
-        deps = {dep: solve_series(dep, _prerequisite_order(candidate.order), ring)
-                for dep in equation.deps}
-    if ring.key == "exact":  # pack as a solve of this order would
-        ring = _solve_ring(class_id, candidate.order)
-        candidate = _into(ring, candidate)
-        deps = {dep: _into(ring, series) for dep, series in deps.items()}
-    const = _Const(candidate, val=0, stride=1, allow_overrun=True)
-    rhs = equation.build(const, deps, ring)
-    return XSeries(out_ring, candidate.order,
-                   [rhs.coeff(n) for n in range(candidate.order + 1)])
-
-
 def closed_form_coefficient(class_id: str, m: int, n: int | None = None) -> int:
     """Independent closed forms: squares and rectangles exactly, the full
     class at q = 1 (Catalan numbers)."""
@@ -487,9 +453,8 @@ def series_rows(label: str, series: XSeries):
     rows = []
     if series.ring.key == "exact":
         for m, c in enumerate(series.coeffs):
-            terms = c.c
-            for d in sorted(terms):
-                rows.append((label, m, d, str(terms[d])))
+            for d, v in c.c.items():
+                rows.append((label, m, d, str(v)))
     else:
         for m, c in enumerate(series.coeffs):
             for k, v in enumerate(c.c):

@@ -119,15 +119,13 @@ def _moments_at(class_id: str, series: XSeries, m: int, k: int) -> tuple:
     return facts[k], power, SqrtScaled(power * rational, root)
 
 
-def normalized_moment(class_id: str, m: int, k: int,
-                      series: XSeries | None = None) -> SqrtScaled:
+def normalized_moment(class_id: str, m: int, k: int) -> SqrtScaled:
     """E[X_m^k] divided by the class scaling; m is counted in the class's own
     perimeter convention (half- or quarter-perimeter)."""
     if k < 0:
         raise ValueError("moment order must be >= 0")
-    if series is None:
-        half_m = _half_perimeter(class_id, m)
-        series = solve_series(class_id, max(half_m, 2), jet_ring(k))
+    half_m = _half_perimeter(class_id, m)
+    series = solve_series(class_id, max(half_m, 2), jet_ring(k))
     return _moments_at(class_id, series, m, k)[2]
 
 

@@ -109,17 +109,6 @@ def orbit_series(subgroup_id: str, order: int, ring) -> XSeries:
     return _divided(total, len(elements), subgroup_id)
 
 
-def burnside_average(subgroup_id: str, order: int, ring) -> XSeries:
-    """Plain average of the fixed-class series over the subgroup.  Equals the
-    orbit series when the subgroup preserves the staircase family; for the
-    other subgroups it is only asymptotically proportional to it, so no
-    integrality holds and exact mode is not supported."""
-    if ring.key == "exact":
-        raise ValueError("the Burnside average needs a jet-mode ring")
-    elements = subgroup_elements(subgroup_id)
-    return _divided(_burnside_sum(elements, False, order, ring), len(elements), subgroup_id)
-
-
 def fixed_point_counts(subgroup_id: str, order: int) -> tuple:
     """Per half-perimeter at q = 1: (total polygon counts, counts fixed by
     some nontrivial element of the subgroup, summed with multiplicity)."""

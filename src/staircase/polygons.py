@@ -12,12 +12,15 @@ count table serves as ground truth for the series solvers.
 Polygons are stored as column tuples: entry i is the half-open cell interval
 (bottom, top) of abscissa i.  Point symmetries of the square lattice act on
 the enclosed cell set.  Class membership is decided by ``enumerate_counts``'
-tally, which tests each class's symmetries on the columns, and by
-``is_fixed``, which tests one element on the cells up to translation.
+tally and, independently, by ``is_fixed``, which tests one element on the
+cells up to translation.  The tally reads r2 off the columns' half turn, d1
+and d2 off the transpose, and rect and square off the column bounds: an axis
+reflection fixes only rectangles, a quarter turn only squares.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 ELEMENTS = ("e", "r", "r2", "r3", "h", "v", "d1", "d2")
@@ -292,38 +295,31 @@ def enumerate_counts(max_half_perimeter: int) -> CountTable:
     (b', t') comes any (b, t) with b' <= b < t' and t >= t'.  The area grows
     by t - b per column."""
     _check_bound(max_half_perimeter)
-    counts: dict = {}
+    counts: Counter = Counter()
     b: list = []
     t: list = []
 
     def tally(m, n):
         width = len(b)
         height = t[-1]
-        key = ("full", m, n)
-        counts[key] = counts.get(key, 0) + 1
-
-        fixed_r2 = True
+        counts["full", m, n] += 1
         for i in range((width + 1) // 2):
             j = width - 1 - i
             if b[i] != height - t[j] or t[i] != height - b[j]:
-                fixed_r2 = False
                 break
-        if fixed_r2:
-            key = ("r2", m, n)
-            counts[key] = counts.get(key, 0) + 1
-
-        fixed_h = True
-        for i in range(width):
-            if b[i] + t[i] != height:
-                fixed_h = False
-                break
-        if fixed_h:
-            key = ("rect", m, n)
-            counts[key] = counts.get(key, 0) + 1
-
+        else:
+            counts["r2", m, n] += 1
+        # an axis reflection fixes only rectangles (b[0] = 0 and both bounds
+        # are nondecreasing, so b[i] + t[i] = height forces t = height and
+        # b = 0), and a quarter turn only squares
+        rect = t[0] == height and b[-1] == 0
+        if rect:
+            counts["rect", m, n] += 1
         if width != height:
-            return
-        # diagonal symmetries and the quarter turn need a square bounding box
+            return  # the diagonals and the quarter turn need a square box
+        if rect:
+            counts["square", m, n] += 1
+        # the transpose's columns
         tb = []
         tt = []
         s = 0
@@ -337,31 +333,16 @@ def enumerate_counts(max_half_perimeter: int) -> CountTable:
             tt.append(e + 1)
 
         fixed_d1 = tb == b and tt == t
-        fixed_d2 = True
+        if fixed_d1:
+            counts["d1", m, n] += 1
         for i in range(width):
             j = width - 1 - i
             if b[i] != height - tt[j] or t[i] != height - tb[j]:
-                fixed_d2 = False
                 break
-        fixed_r = True
-        for i in range(width):
-            j = width - 1 - i
-            if b[i] != tb[j] or t[i] != tt[j]:
-                fixed_r = False
-                break
-
-        if fixed_d1:
-            key = ("d1", m, n)
-            counts[key] = counts.get(key, 0) + 1
-        if fixed_d2:
-            key = ("d2", m, n)
-            counts[key] = counts.get(key, 0) + 1
-        if fixed_d1 and fixed_d2:
-            key = ("d1d2", m, n)
-            counts[key] = counts.get(key, 0) + 1
-        if fixed_r:
-            key = ("square", m, n)
-            counts[key] = counts.get(key, 0) + 1
+        else:
+            counts["d2", m, n] += 1
+            if fixed_d1:
+                counts["d1d2", m, n] += 1
 
     def extend(area):
         # the new column is column number `width`; its top is at most the
@@ -384,4 +365,4 @@ def enumerate_counts(max_half_perimeter: int) -> CountTable:
         tally(1 + top, top)
         extend(top)
         t.pop()
-    return CountTable(counts, max_half_perimeter)
+    return CountTable(dict(counts), max_half_perimeter)

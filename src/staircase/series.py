@@ -187,26 +187,17 @@ class LaurentQPoly:
         return _poly((a << (-w * gap)) + b, other.lo, w, norm)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentQPoly.term(other)
         if not isinstance(other, LaurentQPoly):
             return NotImplemented
         return self._plus(other, 1)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return _poly(-self.v, self.lo, self.w, self.norm)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentQPoly.term(other)
         if not isinstance(other, LaurentQPoly):
             return NotImplemented
         return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         """One integer product, at a width that holds the product's norm."""
@@ -222,8 +213,9 @@ class LaurentQPoly:
 
     def divide_exact(self, k: int) -> "LaurentQPoly":
         """Every coefficient divided by the integer k > 0; ArithmeticError
-        naming the lowest degree whose coefficient k does not divide."""
-        for d, x in sorted(self.c.items()):
+        naming the lowest degree whose coefficient k does not divide (``c``
+        is unpacked in ascending degree order)."""
+        for d, x in self.c.items():
             if x % k:
                 raise ArithmeticError(d)
         # k divides every slot, so it divides v slot by slot
@@ -253,8 +245,7 @@ class LaurentQPoly:
         if not terms:
             return "0"
         bits = []
-        for d in sorted(terms):
-            v = terms[d]
+        for d, v in terms.items():
             if d == 0:
                 bits.append(str(v))
             else:
@@ -321,32 +312,19 @@ class DeltaJet:
             raise ValueError("jet orders differ")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = list(self.c)
-            c[0] += other
-            return DeltaJet(c)
         if not isinstance(other, DeltaJet):
             return NotImplemented
         self._check(other)
         return DeltaJet(tuple(x + y for x, y in zip(self.c, other.c)))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return DeltaJet(tuple(-x for x in self.c))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = list(self.c)
-            c[0] -= other
-            return DeltaJet(c)
         if not isinstance(other, DeltaJet):
             return NotImplemented
         self._check(other)
         return DeltaJet(tuple(x - y for x, y in zip(self.c, other.c)))
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -511,13 +489,7 @@ class JetRing:
         return jet_ring, (self.jet_order,)
 
     def coerce(self, value):
-        if isinstance(value, DeltaJet):
-            if value.order != self.jet_order:
-                raise ValueError("jet orders differ")
-            return value
         if isinstance(value, (int, Fraction)):
-            if value == 0:
-                return self.zero
             return DeltaJet((value,) + self.zero.c[1:])
         raise TypeError(f"cannot coerce {type(value).__name__} into the jet ring")
 

@@ -143,14 +143,14 @@ def test_criterion_6_rectangles_exact_law():
     """Rectangles: normalized mean equals 2/3 + 2/(3m) exactly; higher
     moments at m = 2000 within 0.5 percent of the beta moments."""
     samples = list(range(2, 21)) + [50, 100, 999, 2048, 5000, 10000]
-    series = solve_series("rect", 10000, jet_ring(1))
+    solve_series("rect", 10000, jet_ring(1))  # later calls read the cache
     for m in samples:
-        value = normalized_moment("rect", m, 1, series=series)
+        value = normalized_moment("rect", m, 1)
         assert value.is_rational and value.rational == F(2, 3) + F(2, 3 * m), m
 
-    series4 = solve_series("rect", 2000, jet_ring(4))
+    solve_series("rect", 2000, jet_ring(4))
     for k in range(1, 5):
-        value = normalized_moment("rect", 2000, k, series=series4)
+        value = normalized_moment("rect", 2000, k)
         target = class_limit_moment("rect", k).r
         assert abs(value.rational / target - 1) < F(5, 1000), k
     _report(6, f"normalized mean exact at {len(samples)} sampled m <= 10^4; "
@@ -159,10 +159,10 @@ def test_criterion_6_rectangles_exact_law():
 
 def test_criterion_7_squares_concentrated():
     """Squares: every normalized moment is exactly 1."""
-    series = solve_series("square", 64, jet_ring(3))
+    solve_series("square", 64, jet_ring(3))
     for m in range(1, 33):
         for k in range(4):
-            value = normalized_moment("square", m, k, series=series)
+            value = normalized_moment("square", m, k)
             assert value.is_rational and value.rational == 1, (m, k)
     _report(7, "normalized moments identically 1 at quarter-perimeters 1..32, k <= 3")
 

@@ -1,9 +1,13 @@
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import staircase
 from staircase import feq
 from staircase.cli import main
 from staircase import series as series_module
@@ -253,6 +257,37 @@ class TestUsageErrors:
 
     def test_missing_command(self, capsys):
         assert run([], capsys)[0] == 1
+
+    def test_reversed_range(self, capsys):
+        code, out, err = run(["moments", "--class", "full", "--k", "1",
+                              "--m", "16,8:4"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "reversed range '8:4'" in err
+
+
+class TestConsoleEntryPoint:
+    """The installed ``staircase`` script calls ``console_main``; so does
+    ``python -m staircase.cli``."""
+
+    def launch(self, *argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(staircase.__file__)))
+        return subprocess.run([sys.executable, "-m", "staircase.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_success_exits_0(self):
+        done = self.launch("series", "--class", "square", "--order", "6")
+        assert done.returncode == 0, done.stderr
+        rows = list(csv.reader(io.StringIO(done.stdout)))
+        assert rows[0] == ["class", "m", "n", "coefficient"]
+        assert rows[1:] == [["square", "2", "1", "1"], ["square", "4", "4", "1"],
+                            ["square", "6", "9", "1"]]
+
+    def test_usage_error_exits_1(self):
+        done = self.launch("series", "--class", "full", "--order", "1")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
 
 
 class TestSelftest:

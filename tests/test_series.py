@@ -366,6 +366,9 @@ class TestPackedRing:
             assert a.q_shift(n).c == {d + n: v for d, v in ac.items()}
             assert a.q_square().c == {2 * d: v for d, v in ac.items()}
             assert a.at_q1() == sum(ac.values())
+            # c is read in ascending degree order (divide_exact relies on it)
+            for p in (a, b, a * b, a + b, a - b, -a, a.q_shift(n), a.q_square()):
+                assert list(p.c) == sorted(p.c)
 
     def test_norm_bounds_every_result(self):
         rng = random.Random(13)
@@ -414,6 +417,9 @@ class TestPackedRing:
         with pytest.raises(ArithmeticError) as info:
             LaurentQPoly({1: 4, 2: 6, 3: 5}).divide_exact(2)
         assert info.value.args == (3,)
+        with pytest.raises(ArithmeticError) as info:
+            LaurentQPoly({5: 7, 1: 4, -2: 3}).divide_exact(2)
+        assert info.value.args == (-2,)
 
 
 class TestCrossRing:
