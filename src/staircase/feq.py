@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import ExactRing, XSeries, exact_ring, slot_width
+from .series import DeltaJet, ExactRing, XSeries, exact_ring, slot_width
 
 CLASS_IDS = ("full", "r2", "d1", "d2", "d1d2", "rect", "square")
 
@@ -240,7 +240,7 @@ class ClassEquation:
 
 
 def _q(ring, value=1):
-    return ring.q_shift(ring.coerce(value), 1)
+    return ring.q_shift(ring.one * value, 1)
 
 
 def _build_full(u, deps, ring):
@@ -353,7 +353,8 @@ def solve_series(class_id: str, order: int, ring) -> XSeries:
     Exact rings are solved by the lazy interpreter, jet rings by reading the
     class's closed-form slots.  Results are cached per (class, ring); asking
     for a lower order returns a truncated copy of the best solution already
-    known.
+    known, and asking for a lower jet order the slot prefix of a cached
+    series at a higher one.
     """
     if class_id not in CLASS_EQUATIONS:
         raise ValueError(f"unknown symmetry class: {class_id!r}")
@@ -367,7 +368,13 @@ def solve_series(class_id: str, order: int, ring) -> XSeries:
     if ring.key == "exact":
         series = _solve_exact(class_id, order)
     else:
-        series = closed_form(class_id, ring.jet_order).series(order)
+        K = ring.jet_order
+        for (cached_id, cached_key), wider in _SOLVE_CACHE.items():
+            if (cached_id == class_id and cached_key != "exact"
+                    and cached_key[1] > K and wider.order >= order):
+                jets = wider.coeffs[:order + 1]
+                return XSeries(ring, order, [DeltaJet(c.c[:K + 1]) for c in jets])
+        series = closed_form(class_id, K).series(order)
     _verify_solution(class_id, series)
     _SOLVE_CACHE[key] = series
     return series
@@ -422,7 +429,7 @@ def closed_form(class_id: str, jet_order: int):
 
 
 def _build_closed_form(class_id: str, jet_order: int):
-    from .slots import solve_slots  # imported on the first jet-mode solve
+    from .slots import solve_slots  # deferred: slots imports feq
 
     equation = CLASS_EQUATIONS[class_id]
     deps = {dep: closed_form(dep, jet_order) for dep in equation.deps}

@@ -87,7 +87,7 @@ def factorial_moments_from_series(series: XSeries, m: int, k_max: int) -> list:
     total = jet.c[0]
     if total == 0:
         raise ValueError(f"class empty at this perimeter (index {m})")
-    return [Fraction(int(math.factorial(k)) * int(jet.c[k]), int(total))
+    return [Fraction(math.factorial(k) * jet.c[k], total)
             for k in range(k_max + 1)]
 
 

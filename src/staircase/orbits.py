@@ -12,8 +12,9 @@ subgroup containing a quarter turn or an axis reflection acts instead on the
 family's saturation (staircase shapes in both orientations, which overlap
 exactly in the rectangles), and Burnside over the saturation doubles the
 average and subtracts each element's fixed rectangles.  Either way the
-result counts honest orbits, so in exact mode every coefficient must come
-out a nonnegative integer, which cross-checks all seven solvers at once.
+result counts honest orbits, so every coefficient must come out a
+nonnegative integer (in jet mode slot k sums C(area, k) over the orbits),
+which cross-checks all seven solvers at once.
 """
 
 from __future__ import annotations
@@ -84,19 +85,15 @@ def _burnside_sum(elements, saturated: bool, order: int, ring) -> XSeries:
 def _divided(series: XSeries, size: int, subgroup_id: str) -> XSeries:
     if size == 1:
         return series
-    ring = series.ring
-    if ring.key == "exact":
-        out = []
-        for m, c in enumerate(series.coeffs):
-            try:
-                out.append(c.divide_exact(size))
-            except ArithmeticError as exc:
-                raise RuntimeError(
-                    "Burnside integrality violated for subgroup "
-                    f"{subgroup_id} at x^{m} q^{exc.args[0]}") from None
-        return XSeries(ring, series.order, out)
-    scale = Fraction(1, size)
-    return XSeries(ring, series.order, [c * scale for c in series.coeffs])
+    out = []
+    for m, c in enumerate(series.coeffs):
+        try:
+            out.append(c.divide_exact(size))
+        except ArithmeticError as exc:
+            raise RuntimeError(
+                "Burnside integrality violated for subgroup "
+                f"{subgroup_id} at x^{m} {c.variable}^{exc.args[0]}") from None
+    return XSeries(series.ring, series.order, out)
 
 
 def orbit_series(subgroup_id: str, order: int, ring) -> XSeries:
@@ -116,7 +113,7 @@ def fixed_point_counts(subgroup_id: str, order: int) -> tuple:
     nontrivial = [g for g in subgroup_elements(subgroup_id) if g != "e"]
     p = solve_series("full", order, ring).values_at_q1()
     r = _burnside_sum(nontrivial, False, order, ring).values_at_q1()
-    return [int(v) for v in p], [int(v) for v in r]
+    return p, r
 
 
 def subexp_ratio_table(subgroup_id: str, alpha, m_values) -> list:

@@ -20,7 +20,6 @@ jet kernel runs only when the lazy interpreter is used as their oracle.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def _binomial(n: int, j: int) -> int:
@@ -133,6 +132,7 @@ class LaurentQPoly:
     """
 
     __slots__ = ("v", "lo", "w", "norm")
+    variable = "q"  # divide_exact's ArithmeticError names a power of q
 
     def __init__(self, coeffs=None):
         terms = {d: x for d, x in coeffs.items() if x} if coeffs else {}
@@ -275,10 +275,12 @@ def _mul_slots_into(acc: list, a, b):
 class DeltaJet:
     """Coefficients c_0..c_K of an expansion sum c_j * delta**j + O(delta**(K+1)).
 
-    Entries are exact integers or Fractions; arithmetic truncates at K.
+    Entries are integers; arithmetic truncates at K.  Its ``at_q1`` and
+    ``divide_exact`` read as LaurentQPoly's do.
     """
 
     __slots__ = ("c",)
+    variable = "delta"  # divide_exact's ArithmeticError names a slot
 
     def __init__(self, coeffs):
         object.__setattr__(self, "c", tuple(coeffs))
@@ -327,7 +329,7 @@ class DeltaJet:
         return DeltaJet(tuple(x - y for x, y in zip(self.c, other.c)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return DeltaJet(tuple(x * other for x in self.c))
         if not isinstance(other, DeltaJet):
             return NotImplemented
@@ -338,21 +340,16 @@ class DeltaJet:
 
     __rmul__ = __mul__
 
-    def recip(self) -> "DeltaJet":
-        """Multiplicative inverse; needs a nonzero constant slot."""
-        if not self.c[0]:
-            raise ValueError("series not invertible")
-        K = len(self.c) - 1
-        # unit constant terms keep the arithmetic in plain integers
-        inv0 = self.c[0] if self.c[0] in (1, -1) else Fraction(1, 1) / self.c[0]
-        out = [inv0] + [0] * K
-        for j in range(1, K + 1):
-            acc = 0
-            for i in range(1, j + 1):
-                if self.c[i]:
-                    acc += self.c[i] * out[j - i]
-            out[j] = -inv0 * acc
-        return DeltaJet(tuple(out))
+    def divide_exact(self, k: int) -> "DeltaJet":
+        """Every slot divided by the integer k > 0; ArithmeticError naming
+        the lowest slot that k does not divide."""
+        for j, x in enumerate(self.c):
+            if x % k:
+                raise ArithmeticError(j)
+        return DeltaJet(tuple(x // k for x in self.c))
+
+    def at_q1(self) -> int:
+        return self.c[0]
 
     def __repr__(self):
         return "jet" + repr(self.c)
@@ -401,14 +398,6 @@ class ExactRing:
                 f"q-polynomial with coefficient sum up to {c.norm} "
                 f"overflows {self.width}-bit slots")
         return _poly(c._packed(self.width), c.lo, self.width, c.norm)
-
-    def coerce(self, value):
-        """value as a q-polynomial, at the ring's width where it fits."""
-        if isinstance(value, int):
-            value = LaurentQPoly.term(value)
-        elif not isinstance(value, LaurentQPoly):
-            raise TypeError(f"cannot coerce {type(value).__name__} into the exact ring")
-        return self.fit(value) if value.norm < self.limit else value
 
     def q_shift(self, c, n: int):
         return c.q_shift(n) if c.v else c
@@ -475,7 +464,6 @@ class JetRing:
         self.key = ("jet", jet_order)
         self.zero = DeltaJet((0,) * (jet_order + 1))
         self.one = DeltaJet((1,) + (0,) * jet_order)
-        self._powers: dict[int, tuple] = {}
         # q -> q**2 sends delta to 2*delta + delta**2; row i of the matrix
         # expands (2*delta + delta**2)**i truncated at the jet order.
         self._square_rows = []
@@ -488,24 +476,10 @@ class JetRing:
     def __reduce__(self):
         return jet_ring, (self.jet_order,)
 
-    def coerce(self, value):
-        if isinstance(value, (int, Fraction)):
-            return DeltaJet((value,) + self.zero.c[1:])
-        raise TypeError(f"cannot coerce {type(value).__name__} into the jet ring")
-
-    def _power(self, n: int) -> tuple:
-        p = self._powers.get(n)
-        if p is None:
-            p = jet_q_power(n, self.jet_order).c
-            self._powers[n] = p
-        return p
-
     def q_shift(self, c: DeltaJet, n: int) -> DeltaJet:
         if n == 0 or not any(c.c):
             return c
-        out = [0] * (self.jet_order + 1)
-        _mul_slots_into(out, c.c, self._power(n))
-        return DeltaJet(tuple(out))
+        return c * jet_q_power(n, self.jet_order)
 
     def q_square(self, c: DeltaJet) -> DeltaJet:
         K = self.jet_order
@@ -520,7 +494,16 @@ class JetRing:
         return DeltaJet(tuple(out))
 
     def invert_unit(self, c: DeltaJet) -> DeltaJet:
-        return c.recip()
+        """1/c for a constant slot of +1 or -1, which keeps the inverse
+        integral."""
+        a = c.c
+        inv0 = a[0]
+        if inv0 not in (1, -1):
+            raise ValueError("series not invertible")
+        out = [inv0] + [0] * self.jet_order
+        for j in range(1, self.jet_order + 1):
+            out[j] = -inv0 * sum(a[i] * out[j - i] for i in range(1, j + 1))
+        return DeltaJet(tuple(out))
 
     def acc_new(self):
         return [0] * (self.jet_order + 1)
@@ -611,10 +594,8 @@ class XSeries:
         return XSeries(ring, self.order, [c.collapse(jet_order) for c in self.coeffs])
 
     def values_at_q1(self) -> list:
-        """Plain numeric coefficients at q = 1."""
-        if self.ring.key == "exact":
-            return [c.at_q1() for c in self.coeffs]
-        return [c.c[0] for c in self.coeffs]
+        """Plain integer coefficients at q = 1."""
+        return [c.at_q1() for c in self.coeffs]
 
     def __repr__(self):
         return f"XSeries(ring={self.ring.key}, order={self.order})"

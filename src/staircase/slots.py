@@ -18,7 +18,8 @@ The rules per node type mirror the lazy interpreter in ``feq``:
 * ``_MonoMul``: shift by x**a times the binomial jet of q**b;
 * ``_Recip``: slot k is -R_0 * sum_{i>=1} a_i * R_{k-i}.
 
-This module is imported on the first jet-mode solve.
+This module is imported on the first solve in either ring: every exact solve
+is checked against the counts at q = 1 that slot 0 gives.
 """
 
 from __future__ import annotations
@@ -106,14 +107,14 @@ class _Interpreter:
         """Slot i while slot k is being solved."""
         return self.form(node, k) if i == k else _known(self.slots[node][i])
 
-    def settle(self, node, value: Surd):
-        """Fix every pending slot now that the unknown's slot equals value."""
-        done = self.settled(node)
-        k, form = self.forms[node]
-        if len(done) == k:
-            for child in _children(node):
-                self.settle(child, value)
-            done.append(form.at(value))
+    def settle(self, value: Surd):
+        """Fix every pending slot now that the unknown's slot equals value.
+        Solving slot k asks every node of the tree for its form in slot k,
+        and forms read no settled value, so their order does not matter."""
+        for node, (k, form) in self.forms.items():
+            done = self.settled(node)
+            if len(done) == k:
+                done.append(form.at(value))
 
     # -- one rule per node type ----------------------------------------------
 
@@ -182,16 +183,6 @@ _RULES = {
 }
 
 
-def _children(node) -> tuple:
-    if isinstance(node, feq._Lin):
-        return tuple(child for child, _ in node.terms)
-    if isinstance(node, feq._Mul):
-        return (node.a, node.b)
-    if isinstance(node, (feq._Unknown, feq._Const)):
-        return ()
-    return (node.a,)
-
-
 def _fixed_point(form: _Mobius) -> Surd:
     """Solve U = (a*U + b)/(c*U + d).  For c = 0 the solution is affine;
     otherwise take the root of c*U**2 + (d - a)*U - b = 0 that is an
@@ -250,7 +241,7 @@ def solve_slots(equation, deps: dict, jet_order: int) -> ClosedForm:
     slots = []
     for k in range(jet_order + 1):
         slots.append(_fixed_point(run.form(rhs, k)))
-        run.settle(rhs, slots[k])
+        run.settle(slots[k])
         if run.slots[rhs][k] != slots[k]:
             raise RuntimeError(
                 f"slot {k} of class {equation.class_id} is not a fixed point")

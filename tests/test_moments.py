@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from staircase.feq import CLASS_IDS, solve_series
+from staircase import feq
+from staircase.feq import CLASS_IDS, clear_cache, solve_series
 from staircase.laws import class_limit_moment
 from staircase.moments import (
     SqrtScaled,
@@ -114,6 +115,26 @@ class TestNormalizedMoments:
         value = normalized_moment("d1", 3, 1)
         assert value.root == 3
         assert value.rational == mean / 27 * 3  # 3^(-3/2) = (1/27)*sqrt(3)... via 1/9/sqrt(3)
+
+    def test_lower_moments_reuse_a_higher_jet_solve(self, monkeypatch):
+        clear_cache()
+        want = [normalized_moment("full", 4000, k) for k in (1, 2, 3)]
+        clear_cache()
+        solve_series("full", 4000, jet_ring(4))
+        keys = set(feq._SOLVE_CACHE)
+        built = []
+        real = feq._build_closed_form
+
+        def counting(class_id, jet_order):
+            built.append((class_id, jet_order))
+            return real(class_id, jet_order)
+
+        monkeypatch.setattr(feq, "_build_closed_form", counting)
+        got = [normalized_moment("full", 4000, k) for k in (1, 2, 3)]
+        assert built == []
+        assert set(feq._SOLVE_CACHE) == keys == {("full", ("jet", 4))}
+        assert got == want
+        clear_cache()
 
     def test_perfect_square_index_collapses_root(self):
         value = normalized_moment("full", 16, 1)

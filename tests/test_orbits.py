@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from staircase import cli, orbits
 from staircase.feq import solve_series
 from staircase.moments import factorial_moments_from_series, power_moments
 from staircase.orbits import (
@@ -12,7 +14,7 @@ from staircase.orbits import (
     subexp_ratio_table,
 )
 from staircase.polygons import SUBGROUPS, enumerate_polygons, transform_cells
-from staircase.series import XSeries, exact_ring, jet_ring
+from staircase.series import DeltaJet, LaurentQPoly, XSeries, exact_ring, jet_ring
 
 
 class TestFixMap:
@@ -55,12 +57,15 @@ def add(a, b, sign=1):
 def plain_average(subgroup_id, order, ring):
     """The plain Burnside average of the fixed-class series over the
     subgroup; it is the orbit series only for subgroups that map staircase
-    polygons to staircase polygons."""
+    polygons to staircase polygons, so its slots are Fractions that need not
+    be integers."""
     members = SUBGROUPS[subgroup_id]
     total = solve_series(fix_map(members[0]), order, ring)
     for g in members[1:]:
         total = add(total, solve_series(fix_map(g), order, ring))
-    return XSeries(ring, order, [c * F(1, len(members)) for c in total.coeffs])
+    n = len(members)
+    return XSeries(ring, order, [DeltaJet(tuple(F(x, n) for x in c.c))
+                                 for c in total.coeffs])
 
 
 def per_element_burnside(subgroup_id, order, ring):
@@ -132,6 +137,39 @@ class TestOrbitSeries:
             orbit_series("c3", 8, exact_ring())
 
 
+# One coefficient of the r2 series off by one, per ring: a q^5 term at x^6 in
+# exact mode, slot 1 at x^6 in jet mode.
+OFF_BY_ONE = {"exact": (LaurentQPoly.term(1, 5), "x^6 q^5"),
+              ("jet", 2): (DeltaJet((0, 1, 0)), "x^6 delta^1")}
+
+
+@pytest.fixture
+def broken_r2(monkeypatch):
+    def solve(class_id, order, ring):
+        series = solve_series(class_id, order, ring)
+        if class_id != "r2":
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[6] = coeffs[6] + OFF_BY_ONE[ring.key][0]
+        return XSeries(ring, order, coeffs)
+
+    monkeypatch.setattr(orbits, "solve_series", solve)
+
+
+class TestBurnsideIntegrality:
+    @pytest.mark.parametrize("ring", [exact_ring(), jet_ring(2)], ids=["exact", "jet2"])
+    def test_violation_names_subgroup_and_term(self, broken_r2, ring):
+        where = OFF_BY_ONE[ring.key][1]
+        with pytest.raises(RuntimeError, match=re.escape(f"subgroup r2 at {where}") + "$"):
+            orbit_series("r2", 12, ring)
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "jet", "--jet", "2"]],
+                             ids=["exact", "jet2"])
+    def test_cli_exits_2(self, broken_r2, capsys, mode):
+        assert cli.main(["orbits", "--subgroup", "r2", "--order", "12"] + mode) == 2
+        assert "Burnside integrality violated" in capsys.readouterr().err
+
+
 class TestBurnsideAverage:
     def test_full_group_formula(self):
         # average over the whole point group: (P + S + 2*Sq + D1 + D2 + 2*H)/8
@@ -142,7 +180,7 @@ class TestBurnsideAverage:
         for name in names[1:]:
             total = add(total, solve_series(name, 12, ring))
         for m in range(13):
-            assert avg.coeffs[m] == total.coeffs[m] * F(1, 8)
+            assert avg.coeffs[m] * 8 == total.coeffs[m]
 
     def test_average_equals_orbits_for_acting_subgroups(self):
         ring = jet_ring(0)

@@ -6,7 +6,8 @@ from pathlib import Path
 import staircase
 from staircase.series import ExactRing, JetRing
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def test_every_exported_name_resolves():
@@ -60,3 +61,37 @@ def test_tracer_maps_conv_into_arguments_by_the_kernel_signature():
         params = tuple(inspect.signature(kernel).parameters)
         assert names[:len(params)] == params, kernel.__qualname__
         assert set(names[len(params):]) <= read_with_default, kernel.__qualname__
+
+
+def _resolves(module_name, name):
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return True
+    try:
+        importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_benchmark_imports_from_src_resolve():
+    # the workloads and checks import from staircase inside functions; read
+    # them without running, so a rename in src/ fails here and not only in
+    # every operation of a benchmark run
+    missing = []
+    for script in ("workloads.py", "checks.py"):
+        for node in ast.walk(ast.parse((BENCH / script).read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "staircase"):
+                missing += [(script, node.module, alias.name) for alias in node.names
+                            if not _resolves(node.module, alias.name)]
+    assert missing == []
+
+
+def test_benchmark_calls_bind():
+    # meander-moments passes jet_order=1, and the workloads solve by position
+    from staircase import feq, moments
+    from staircase.series import jet_ring
+
+    inspect.signature(moments.convergence_report).bind("full", 1, [64], jet_order=1)
+    inspect.signature(feq.solve_series).bind("full", 64, jet_ring(1))

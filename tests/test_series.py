@@ -17,11 +17,11 @@ from staircase.surds import Surd
 
 
 def xp(ring, order, terms):
-    """A series from {x_degree: coefficient-like}; ints are coerced."""
+    """A series from {x_degree: coefficient-like}; ints become constants."""
     coeffs = [ring.zero] * (order + 1)
     for deg, value in terms.items():
         if 0 <= deg <= order:
-            coeffs[deg] = ring.coerce(value)
+            coeffs[deg] = ring.one * value
     return XSeries(ring, order, coeffs)
 
 
@@ -83,11 +83,15 @@ class TestDeltaJet:
         assert a * b == DeltaJet((2, -1))
 
     def test_recip(self):
-        a = DeltaJet((2, 1, 0))
-        r = a.recip()
+        ring = jet_ring(2)
+        a = DeltaJet((1, 3, -2))
+        r = ring.invert_unit(a)
         assert a * r == DeltaJet((1, 0, 0))
-        with pytest.raises(ValueError, match="not invertible"):
-            DeltaJet((0, 1)).recip()
+        assert ring.invert_unit(-a) == -r
+        # only units +-1 have integral inverses
+        for bad in ((2, 1), (0, 1)):
+            with pytest.raises(ValueError, match="not invertible"):
+                ring.invert_unit(DeltaJet(bad))
 
 
 def _hashes(value):
